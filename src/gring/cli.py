@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 from .casestudies import (
@@ -21,7 +22,7 @@ from .casestudies import (
     sw_static_checks,
     sw_verify,
 )
-from .errors import GringError
+from .errors import GringError, GroebnerTimeout
 from .identities import run_identity_suite
 from .ideals import (
     Verdict,
@@ -106,15 +107,25 @@ def _cmd_ideal(args) -> int:
 def _cmd_normalgen(args) -> int:
     pres = _read_presentation(args)
     words = _parse_words(args.words or "", pres.names)
-    verdict = normally_generates_check(pres, words, use_hash=args.hash)
+    deadline = time.monotonic() + args.timeout if args.timeout else None
+    try:
+        verdict = normally_generates_check(
+            pres, words, use_hash=args.hash, deadline=deadline
+        ).value
+    except GroebnerTimeout:
+        verdict = "timeout"
     payload = {
         "presentation": pres.render(),
         "words": [w.render(pres.names) for w in words],
         "via": "hash" if args.hash else "hashhash",
-        "verdict": verdict.value,
+        "verdict": verdict,
     }
-    _emit(args, payload, [f"verdict: {verdict.value}"])
-    return EXIT_OK if verdict is Verdict.CERTIFIED_NO else EXIT_INCONCLUSIVE
+    _emit(args, payload, [f"verdict: {verdict}"])
+    if verdict == "timeout":
+        return EXIT_TIMEOUT
+    if verdict == Verdict.CERTIFIED_NO.value:
+        return EXIT_OK
+    return EXIT_INCONCLUSIVE
 
 
 def _cmd_boyer(args) -> int:
@@ -265,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     ng.add_argument(
         "--hash", action="store_true", help="compare full ideals instead"
     )
+    ng.add_argument("--timeout", type=float, default=None, help="seconds")
     ng.set_defaults(func=_cmd_normalgen)
 
     boyer = sub.add_parser(

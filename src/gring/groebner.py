@@ -4,6 +4,17 @@ Basis elements are kept monic over the rationals throughout; reducers are
 pruned and sorted by leading monomial, and candidate pairs are filtered by
 the product and chain criteria.  Coefficients stay exact, so equality of
 ideals and normal forms are exact statements.
+
+Divisibility tests between leading monomials are prefiltered.  Next to
+each basis element the engine keeps its lead's support bitmask (the OR of
+``1 << vid`` over its variables) and total degree.  A lead ``t`` can only
+divide ``m`` when its mask has no bit outside ``m``'s mask and its degree
+is at most ``m``'s (the "short exponent vector" of Bachmann & Schoenemann,
+ISSAC '98).  The chain-criterion scan and the retiring of reducers apply
+that test first and compare exponents only for the leads that pass, so
+they take the same decisions as a plain divisibility test, at a fraction
+of its cost.  The lcm of a pair is built as a tuple only for pairs that
+survive the chain criterion.
 """
 
 from __future__ import annotations
@@ -98,9 +109,11 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
     registry = order.registry
 
     basis = []  # append-only: (lead_mono, monic dict, sugar, lead_key)
-    reducers = []  # sorted [(lead_key, lead_mono, tail)], leads pairwise
-    # non-divisible: new elements are normal forms, old leads divisible by
-    # a new lead get pruned
+    lead_mask = []  # parallel to basis: OR of 1 << vid over the lead
+    lead_deg = []  # parallel to basis: total degree of the lead
+    reducers = []  # sorted [(lead_key, lead_mono, tail, basis index)],
+    # leads pairwise non-divisible: new elements are normal forms, old
+    # leads divisible by a new lead get pruned
     pairs = []  # heap of (sugar, lcm_key, i, j); stale entries skipped
     pending = set()
 
@@ -108,7 +121,7 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
         if not reducers:
             return d
         return kernel.reduce_nd(
-            d, [(lm, tail) for _, lm, tail in reducers], slots, width
+            d, [(lm, tail) for _, lm, tail, _ in reducers], slots, width
         )
 
     def add_element(d):
@@ -118,27 +131,36 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
         k = len(basis)
         key_k = kernel.mono_key(lm, slots, width)
         sugar_k = max(kernel.mono_deg(m) for m in d)
+        mask_k = 0
+        for v, _ in lm:
+            mask_k |= 1 << v
+        deg_k = kernel.mono_deg(lm)
         basis.append((lm, d, sugar_k, key_k))
+        lead_mask.append(mask_k)
+        lead_deg.append(deg_k)
         for i in range(k):
-            lmi, _, sugar_i, _ = basis[i]
-            if kernel.mono_coprime(lmi, lm):
+            if not lead_mask[i] & mask_k:
                 continue  # product criterion: the S-pair reduces to zero
+            lmi, _, sugar_i, _ = basis[i]
             lcm = kernel.mono_lcm(lmi, lm)
             dl = kernel.mono_deg(lcm)
-            sug = max(
-                sugar_i + dl - kernel.mono_deg(lmi),
-                sugar_k + dl - kernel.mono_deg(lm),
-            )
+            sug = max(sugar_i + dl - lead_deg[i], sugar_k + dl - deg_k)
             heappush(pairs, (sug, kernel.mono_key(lcm, slots, width), i, k))
             pending.add((i, k))
         # the new lead retires any reducer it divides (stale entries keep
         # serving the pair bookkeeping, just not reductions)
-        keep = [e for e in reducers if kernel.mono_div(e[1], lm) is None]
+        keep = [
+            e
+            for e in reducers
+            if mask_k & ~lead_mask[e[3]]
+            or deg_k > lead_deg[e[3]]
+            or kernel.mono_div(e[1], lm) is None
+        ]
         if len(keep) != len(reducers):
             reducers[:] = keep
         insort(
             reducers,
-            (key_k, lm, {m: c for m, c in d.items() if m != lm}),
+            (key_k, lm, {m: c for m, c in d.items() if m != lm}, k),
         )
 
     seeds = sorted(
@@ -161,20 +183,32 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
         pending.discard((i, j))
         lmi, di, _, _ = basis[i]
         lmj, dj, _, _ = basis[j]
-        lcm = kernel.mono_lcm(lmi, lmj)
+        # chain criterion: skip the pair when some other lead t divides
+        # lcm(lmi, lmj) and neither (i, t) nor (j, t) is still pending.
+        # A lead with a variable outside the lcm's support, or of higher
+        # degree, cannot divide it; only the rest get the exponent test.
+        lcm_exp = dict(lmi)
+        for v, e in lmj:
+            if e > lcm_exp.get(v, 0):
+                lcm_exp[v] = e
+        outside = ~(lead_mask[i] | lead_mask[j])
+        lcm_deg = sum(lcm_exp.values())
         skip = False
-        for t in range(len(basis)):
-            if t == i or t == j:
+        for t, mask_t in enumerate(lead_mask):
+            if mask_t & outside or lead_deg[t] > lcm_deg or t == i or t == j:
                 continue
-            if kernel.mono_div(lcm, basis[t][0]) is None:
-                continue
-            a, b = (i, t) if i < t else (t, i)
-            c, e = (j, t) if j < t else (t, j)
-            if (a, b) not in pending and (c, e) not in pending:
-                skip = True  # chain criterion
-                break
+            for v, e in basis[t][0]:
+                if e > lcm_exp[v]:
+                    break
+            else:
+                a, b = (i, t) if i < t else (t, i)
+                c, e = (j, t) if j < t else (t, j)
+                if (a, b) not in pending and (c, e) not in pending:
+                    skip = True
+                    break
         if skip:
             continue
+        lcm = kernel.mono_lcm(lmi, lmj)
         qi = kernel.mono_div(lcm, lmi)
         qj = kernel.mono_div(lcm, lmj)
         s = kernel.nd_sub(
@@ -191,7 +225,7 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
     # result canonical.  Leads are pairwise non-divisible, so reduction
     # never touches a lead and the elements stay monic and nonzero.
     final = []
-    for _, lm, tail in reducers:
+    for _, lm, tail, _ in reducers:
         d = dict(tail)
         d[lm] = (1, 1)
         final.append((lm, d))

@@ -145,14 +145,16 @@ def quotient_ring_of_presentation(pres: Presentation) -> QuotientRing:
 
 
 def normally_generates_check(
-    pres: Presentation, L, use_hash: bool = False
+    pres: Presentation, L, use_hash: bool = False, deadline=None
 ) -> Verdict:
     """Obstruction test: can L normally generate the presented group?
 
     Compares the obstruction ideal of relators + L against that of the
     full generator set, inside the free-group coordinate ring.  Unequal
     ideals certify that L cannot normally generate; equality is
-    inconclusive by design.
+    inconclusive by design.  ``deadline`` is an optional
+    ``time.monotonic()`` value for both basis computations; exceeding it
+    raises GroebnerTimeout.
     """
     n = pres.generator_count
     ring = build_KF(n)
@@ -160,6 +162,6 @@ def normally_generates_check(
     make = hash_generators if use_hash else hashhash_generators
     lhs = make(list(pres.relators) + list(L), n)
     rhs = make(gens_all, n)
-    if lhs.gb().polys == rhs.gb().polys:
+    if lhs.gb(deadline).polys == rhs.gb(deadline).polys:
         return Verdict.INCONCLUSIVE
     return Verdict.CERTIFIED_NO

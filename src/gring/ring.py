@@ -125,6 +125,9 @@ def ideal_contains(gens, p: Poly, ambient: QuotientRing) -> bool:
 
 
 def ideal_equal(gens_a, gens_b, ambient: QuotientRing) -> bool:
+    gens_a, gens_b = list(gens_a), list(gens_b)
+    if gens_a == gens_b:
+        return True  # the same generators: no basis needed
     ga = ambient.ideal_gb(gens_a)
     gbs = ambient.ideal_gb(gens_b)
     return ga.polys == gbs.polys
@@ -313,9 +316,9 @@ _KF_CACHE = {}
 
 
 def build_KF(n: int, registry=None) -> KFRing:
-    """The rank-n coordinate ring; cached per registry."""
+    """The rank-n coordinate ring; cached per registry object."""
     reg = registry if registry is not None else REGISTRY
-    key = (id(reg), n)
+    key = (reg, n)
     ring = _KF_CACHE.get(key)
     if ring is None:
         ring = KFRing(n, reg)

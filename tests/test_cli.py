@@ -1,4 +1,5 @@
 import json
+import time
 
 from gring.cli import main
 
@@ -90,6 +91,25 @@ def test_normalgen_inconclusive_exit_two(capsys):
     )
     assert code == 2
     assert "Inconclusive" in out
+
+
+def test_normalgen_timeout_exit_three(capsys):
+    # (g1*g2^-2*g1^-1*g2*g1*g2)^5: without a deadline this runs for minutes.
+    t0 = time.monotonic()
+    code, out, _ = run(
+        capsys,
+        "normalgen",
+        "--json",
+        "--presentation",
+        "<g1,g2|g1^5,g2^7>",
+        "--words",
+        "*".join(["g1*g2^-2*g1^-1*g2*g1*g2"] * 5),
+        "--timeout",
+        "1",
+    )
+    assert code == 3
+    assert json.loads(out)["verdict"] == "timeout"
+    assert time.monotonic() - t0 < 10
 
 
 def test_boyer_certificate_command(capsys):

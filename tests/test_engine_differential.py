@@ -1,0 +1,244 @@
+"""Differential test of the Buchberger engine against its predecessor.
+
+``reference_buchberger`` below is a frozen copy of ``groebner.buchberger``
+as it was before the chain criterion got its support-bitmask and degree
+prefilter: it tests every lead with ``mono_div``.  The prefilter only skips
+divisibility tests that would fail, so on every input both engines must
+return the same reduced basis and reduce the same pairs, counted as calls
+of ``kernel.reduce_nd``.
+
+Inputs are recorded from the ring constructions and ideal bases gring
+builds: the properness ideals of ``sw_elements`` in A(r,s,t), the relation
+bases of E(s,t), KF2 and KF3, and seeded criterion-8 ideals.
+"""
+
+import random
+from bisect import insort
+from heapq import heappop, heappush
+
+import pytest
+
+from gring import kernel, ring
+from gring.casestudies import SWInstance, build_E, sw_build, sw_elements
+from gring.groebner import GroebnerBasis, buchberger
+from gring.ideals import bullet_generators, hash_generators, hashhash_generators
+from gring.poly import Poly
+from gring.words import Word
+
+
+def reference_buchberger(gens, order):
+    """The engine before the support-bitmask prefilter (frozen copy)."""
+    slots, width = order.slots, order.width
+    registry = order.registry
+
+    basis = []  # append-only: (lead_mono, monic dict, sugar, lead_key)
+    reducers = []  # sorted [(lead_key, lead_mono, tail)], leads pairwise
+    # non-divisible: new elements are normal forms, old leads divisible by
+    # a new lead get pruned
+    pairs = []  # heap of (sugar, lcm_key, i, j); stale entries skipped
+    pending = set()
+
+    def reduce_full(d):
+        if not reducers:
+            return d
+        return kernel.reduce_nd(
+            d, [(lm, tail) for _, lm, tail in reducers], slots, width
+        )
+
+    def add_element(d):
+        """Monic-normalize, install as basis element, update pair queue."""
+        lm = max(d, key=lambda m: kernel.mono_key(m, slots, width))
+        d = kernel.nd_monic(d, lm)
+        k = len(basis)
+        key_k = kernel.mono_key(lm, slots, width)
+        sugar_k = max(kernel.mono_deg(m) for m in d)
+        basis.append((lm, d, sugar_k, key_k))
+        for i in range(k):
+            lmi, _, sugar_i, _ = basis[i]
+            if kernel.mono_coprime(lmi, lm):
+                continue  # product criterion: the S-pair reduces to zero
+            lcm = kernel.mono_lcm(lmi, lm)
+            dl = kernel.mono_deg(lcm)
+            sug = max(
+                sugar_i + dl - kernel.mono_deg(lmi),
+                sugar_k + dl - kernel.mono_deg(lm),
+            )
+            heappush(pairs, (sug, kernel.mono_key(lcm, slots, width), i, k))
+            pending.add((i, k))
+        # the new lead retires any reducer it divides (stale entries keep
+        # serving the pair bookkeeping, just not reductions)
+        keep = [e for e in reducers if kernel.mono_div(e[1], lm) is None]
+        if len(keep) != len(reducers):
+            reducers[:] = keep
+        insort(
+            reducers,
+            (key_k, lm, {m: c for m, c in d.items() if m != lm}),
+        )
+
+    seeds = sorted(
+        (g for g in gens if not g.is_zero()),
+        key=lambda g: order.key(order.leading(g)[0]),
+    )
+    for g in seeds:
+        r = reduce_full(kernel.nd_from_frac(g._t))
+        if r:
+            add_element(r)
+
+    while pairs:
+        _, _, i, j = heappop(pairs)
+        if (i, j) not in pending:
+            continue
+        pending.discard((i, j))
+        lmi, di, _, _ = basis[i]
+        lmj, dj, _, _ = basis[j]
+        lcm = kernel.mono_lcm(lmi, lmj)
+        skip = False
+        for t in range(len(basis)):
+            if t == i or t == j:
+                continue
+            if kernel.mono_div(lcm, basis[t][0]) is None:
+                continue
+            a, b = (i, t) if i < t else (t, i)
+            c, e = (j, t) if j < t else (t, j)
+            if (a, b) not in pending and (c, e) not in pending:
+                skip = True  # chain criterion
+                break
+        if skip:
+            continue
+        qi = kernel.mono_div(lcm, lmi)
+        qj = kernel.mono_div(lcm, lmj)
+        s = kernel.nd_sub(
+            {kernel.mono_mul(m, qi): c for m, c in di.items()},
+            {kernel.mono_mul(m, qj): c for m, c in dj.items()},
+        )
+        if not s:
+            continue
+        r = reduce_full(s)
+        if r:
+            add_element(r)
+
+    # The surviving reducers are a minimal basis; tail-reduce to make the
+    # result canonical.  Leads are pairwise non-divisible, so reduction
+    # never touches a lead and the elements stay monic and nonzero.
+    final = []
+    for _, lm, tail in reducers:
+        d = dict(tail)
+        d[lm] = (1, 1)
+        final.append((lm, d))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(final)):
+            others = [
+                (lm, {m: c for m, c in d.items() if m != lm})
+                for j, (lm, d) in enumerate(final)
+                if j != i
+            ]
+            r = kernel.reduce_nd(final[i][1], others, slots, width)
+            if r != final[i][1]:
+                changed = True
+                final[i] = (final[i][0], r)
+    polys = [
+        Poly._raw(kernel.nd_to_frac(d), registry) for _, d in final
+    ]
+    polys.sort(key=lambda p: order.key(order.leading(p)[0]))
+    return GroebnerBasis(polys, order)
+
+
+def _run(engine, gens, order, counter):
+    before = counter[0]
+    polys = engine(gens, order).polys
+    return polys, counter[0] - before
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Count ``kernel.reduce_nd`` calls and record every basis computed
+    through ``gring.ring`` as (gens, order, polys, reduce_nd calls)."""
+    counter = [0]
+    real_reduce = kernel.reduce_nd
+
+    def counting_reduce(*args):
+        counter[0] += 1
+        return real_reduce(*args)
+
+    records = []
+
+    def recording_buchberger(gens, order, deadline=None):
+        gens = list(gens)
+        polys, calls = _run(buchberger, gens, order, counter)
+        records.append((gens, order, polys, calls))
+        return GroebnerBasis(polys, order)
+
+    monkeypatch.setattr(kernel, "reduce_nd", counting_reduce)
+    monkeypatch.setattr(ring, "buchberger", recording_buchberger)
+    return records, counter
+
+
+def _assert_same_as_reference(records, counter):
+    assert records
+    for gens, order, polys, calls in records:
+        ref_polys, ref_calls = _run(reference_buchberger, gens, order, counter)
+        assert polys == ref_polys
+        assert calls == ref_calls
+
+
+def _word(rng, n, length):
+    """Freely reduced word of exactly ``length`` letters."""
+    sylls = []
+    while len(sylls) < length:
+        g, e = rng.randint(1, n), rng.choice((1, -1))
+        if not (sylls and sylls[-1] == (g, -e)):
+            sylls.append((g, e))
+    return Word.from_syllables(sylls)
+
+
+PROPERNESS_ORDERS = ((2, 3, 5), (2, 3, 7), (2, 3, 9), (2, 4, 5), (2, 5, 7))
+
+
+def test_properness_ideals(recorded):
+    rng = random.Random(20261018)
+    for r, s, t in PROPERNESS_ORDERS:
+        # each generator once, in a seeded order; a factor of order 2 or 3
+        # may get the exponent 1 - order instead of 1
+        gens = [1, 2, 3]
+        rng.shuffle(gens)
+        orders = (r, s, t)
+        word = Word.from_syllables(
+            (g, rng.choice((1, 1 - orders[g - 1])) if orders[g - 1] <= 3 else 1)
+            for g in gens
+        )
+        rings = sw_build(r, s, t)
+        rings.A.ideal_gb(sw_elements(SWInstance(r, s, t, word), rings))
+    _assert_same_as_reference(*recorded)
+
+
+def test_E_relation_bases(recorded):
+    for s in (3, 5):
+        for t in (4, 7):
+            build_E(s, t)
+    _assert_same_as_reference(*recorded)
+
+
+def test_KF_relation_bases(recorded):
+    ring.KFRing(2)
+    ring.KFRing(3)
+    _assert_same_as_reference(*recorded)
+
+
+def test_criterion8_ideals(recorded):
+    # Conjugates of 3-letter F3 words are left out: some take minutes.
+    rng = random.Random(20261018)
+    for n, length, count in ((2, 5, 12), (3, 2, 8), (3, 3, 16)):
+        kf = ring.build_KF(n)
+        for _ in range(count):
+            l = _word(rng, n, length)
+            base = hashhash_generators([l], n).generators
+            kf.ideal_gb(base)
+            kf.ideal_gb(hash_generators([l], n).generators)
+            kf.ideal_gb(base + bullet_generators([l], n).generators)
+            if length < 3:
+                h = _word(rng, n, 1)
+                conj = h * l * h.inverse()
+                kf.ideal_gb(hashhash_generators([conj], n).generators)
+    _assert_same_as_reference(*recorded)

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from gring.agmod import embed_word
+from gring.errors import GroebnerTimeout
 from gring.ideals import (
     Verdict,
     abelianization_kernel_generators,
@@ -132,6 +134,14 @@ def test_normally_generates_full_generator_inconclusive():
         normally_generates_check(pres, [parse_word("g1", ["g1"])])
         is Verdict.INCONCLUSIVE
     )
+
+
+def test_normally_generates_honours_deadline():
+    pres = parse_presentation("<g1,g2|g1^2,g2^3>")
+    with pytest.raises(GroebnerTimeout):
+        normally_generates_check(
+            pres, [W("g1*g2") ** 2], deadline=time.monotonic() - 1
+        )
 
 
 def test_normally_generates_partial_generators():

@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
+from gring import ring as ring_module
 from gring.errors import NotAUnit
-from gring.poly import REGISTRY, Poly, degrevlex
+from gring.poly import REGISTRY, Poly, VariableRegistry, degrevlex
 from gring.ring import (
     QuotientRing,
     build_KF,
     canonical_m,
     canonical_w,
+    ideal_equal,
     invert,
     is_whole_ring,
 )
@@ -44,6 +46,15 @@ def test_build_KF_small_ranks():
     assert r2.var_names() == ["lam1", "lam2", "m12"]
     r3 = build_KF(3)
     assert len(r3.gb.polys) == 1
+
+
+def test_build_KF_caches_per_registry_object():
+    reg_a, reg_b = VariableRegistry(), VariableRegistry()
+    ring_a, ring_b = build_KF(2, reg_a), build_KF(2, reg_b)
+    assert ring_a is not ring_b
+    assert ring_a.registry is reg_a and ring_b.registry is reg_b
+    assert build_KF(2, reg_a) is ring_a
+    assert build_KF(2, reg_b) is ring_b
 
 
 def test_build_KF_rejects_bad_rank():
@@ -115,6 +126,17 @@ def test_ideal_equal_via_mutual_containment():
         ideal_contains(b, p, ring) for p in a
     )
     assert both == req(a, b, ring)
+
+
+def test_ideal_equal_same_generators_builds_no_basis(monkeypatch):
+    ring = build_KF(2)
+    gens = [ring.lam(1) + ring.lam(2), ring.m(1, 2)]
+    calls = []
+    monkeypatch.setattr(
+        ring_module, "buchberger", lambda *a, **k: calls.append(a)
+    )
+    assert ideal_equal(gens, tuple(gens), ring)
+    assert calls == []
 
 
 def test_quadric_kernel_ideal_membership():
