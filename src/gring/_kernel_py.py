@@ -2,8 +2,7 @@
 
 Monomials are tuples of ``(variable_id, exponent)`` pairs sorted by id with
 strictly positive exponents; polynomials at this level are plain dicts
-mapping monomial to coefficient.  The compiled twin ``_kernel_c`` exposes
-the same functions; ``gring.kernel`` picks one at import time.
+mapping monomial to coefficient.
 
 Order data comes in as ``slots`` (dict: variable id -> (degree_slot,
 exponent_slot) in a flat key vector) plus the key ``width``.  Keys compare
@@ -14,8 +13,6 @@ negated keys with ``heapq``.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-
-IMPLEMENTATION = "python"
 
 
 def mono_mul(a, b):

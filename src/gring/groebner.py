@@ -249,11 +249,6 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
     return GroebnerBasis(polys, order)
 
 
-def ideal_equal(gens_a, gens_b, order: MonomialOrder) -> bool:
-    """Equality of the generated ideals via equality of reduced bases."""
-    return buchberger(gens_a, order).polys == buchberger(gens_b, order).polys
-
-
 # -- extended computation with cofactor tracking ------------------------
 
 

@@ -1,44 +1,30 @@
-"""Select the compiled kernel when available, else the pure-Python twin.
+"""The hot polynomial loops, re-exported from ``_kernel_py``.
 
-Set ``GRING_KERNEL=py`` to force the pure-Python implementation (used by
-the benchmark and the parity tests); ``GRING_KERNEL=c`` insists on the
-compiled extension and fails loudly when it is missing.
+Callers import the kernel through this module, never ``_kernel_py``: a
+run-time tracer can then wrap these names and leave the implementation's
+own globals alone, so the calls made inside ``reduce_nd`` stay unwrapped.
 """
 
-import os
-
-_choice = os.environ.get("GRING_KERNEL", "auto")
-
-if _choice == "py":
-    from . import _kernel_py as impl
-elif _choice == "c":
-    from . import _kernel_c as impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import _kernel_c as impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as impl
-
-IMPLEMENTATION = impl.IMPLEMENTATION
-
-mono_mul = impl.mono_mul
-mono_div = impl.mono_div
-mono_lcm = impl.mono_lcm
-mono_coprime = impl.mono_coprime
-mono_deg = impl.mono_deg
-mono_key = impl.mono_key
-mono_neg_key = impl.mono_neg_key
-poly_add = impl.poly_add
-poly_mul = impl.poly_mul
-poly_scale = impl.poly_scale
-poly_mul_mono = impl.poly_mul_mono
-nd_from_frac = impl.nd_from_frac
-nd_to_frac = impl.nd_to_frac
-nd_monic = impl.nd_monic
-nd_sub = impl.nd_sub
-reduce_nd = impl.reduce_nd
+from ._kernel_py import (
+    mono_coprime,
+    mono_deg,
+    mono_div,
+    mono_key,
+    mono_lcm,
+    mono_mul,
+    mono_neg_key,
+    nd_from_frac,
+    nd_monic,
+    nd_sub,
+    nd_to_frac,
+    poly_add,
+    poly_mul,
+    poly_mul_mono,
+    poly_scale,
+    reduce_nd,
+)
 
 
 def backend() -> str:
-    """Name of the active kernel implementation."""
-    return IMPLEMENTATION
+    """Name of the kernel implementation."""
+    return "python"

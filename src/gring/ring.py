@@ -324,11 +324,3 @@ def build_KF(n: int, registry=None) -> KFRing:
         ring = KFRing(n, reg)
         _KF_CACHE[key] = ring
     return ring
-
-
-def canonical_m(ring: KFRing, i: int, j: int) -> Poly:
-    return ring.m(i, j)
-
-
-def canonical_w(ring: KFRing, i: int, j: int, k: int):
-    return ring.w_signed(i, j, k)

@@ -245,15 +245,3 @@ def parse_presentation(text: str) -> Presentation:
     if not sc.at_end():
         raise MalformedSyntax("trailing input after presentation", sc.pos)
     return Presentation(tuple(names), tuple(relators))
-
-
-def multiply(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def inverse(a: Word) -> Word:
-    return a.inverse()
-
-
-def exponent_sum(a: Word, i: int) -> int:
-    return a.exponent_sum(i)

@@ -158,3 +158,15 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def test_kernel_is_the_python_reexport():
+    # The benchmark records the backend name and traces the kernel's
+    # public names; both rely on kernel.py being a separate module that
+    # re-exports _kernel_py's functions.
+    import gring
+    from gring import _kernel_py, kernel
+
+    assert gring.kernel_backend() == "python"
+    assert kernel.reduce_nd is _kernel_py.reduce_nd
+    assert kernel is not _kernel_py

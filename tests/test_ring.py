@@ -8,8 +8,6 @@ from gring.poly import REGISTRY, Poly, VariableRegistry, degrevlex
 from gring.ring import (
     QuotientRing,
     build_KF,
-    canonical_m,
-    canonical_w,
     ideal_equal,
     invert,
     is_whole_ring,
@@ -18,23 +16,23 @@ from gring.ring import (
 
 def test_canonical_m_swaps_indices():
     ring = build_KF(3)
-    assert canonical_m(ring, 2, 1) == canonical_m(ring, 1, 2)
-    assert canonical_m(ring, 1, 3).render() == "m13"
+    assert ring.m(2, 1) == ring.m(1, 2)
+    assert ring.m(1, 3).render() == "m13"
 
 
 def test_canonical_m_diagonal_rewrites():
     ring = build_KF(3)
     lam1 = ring.lam(1)
-    assert canonical_m(ring, 1, 1) == 1 - lam1 * lam1
+    assert ring.m(1, 1) == 1 - lam1 * lam1
 
 
 def test_canonical_w_signs():
     ring = build_KF(3)
-    s, p = canonical_w(ring, 1, 2, 3)
+    s, p = ring.w_signed(1, 2, 3)
     assert s == 1 and p.render() == "w123"
-    s, p = canonical_w(ring, 3, 2, 1)
+    s, p = ring.w_signed(3, 2, 1)
     assert s == -1 and p.render() == "w123"
-    s, p = canonical_w(ring, 1, 1, 2)
+    s, p = ring.w_signed(1, 1, 2)
     assert s == 0 and p.is_zero()
 
 
