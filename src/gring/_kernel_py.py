@@ -172,10 +172,6 @@ def poly_scale(p, c):
     return {m: v * c for m, v in p.items()}
 
 
-def poly_mul_mono(p, mono, coeff):
-    return {mono_mul(m, mono): v * coeff for m, v in p.items()}
-
-
 def nd_from_frac(p):
     """Fraction-coefficient dict -> normalized (num, den) pair dict."""
     return {m: (c.numerator, c.denominator) for m, c in p.items()}
@@ -185,47 +181,67 @@ def nd_to_frac(p):
     return {m: Fraction(n, d) for m, (n, d) in p.items()}
 
 
-def nd_monic(p, lead_mono):
-    """Divide through by the coefficient of ``lead_mono``; den stays > 0."""
-    ln, ld = p[lead_mono]
-    if ln == 1 and ld == 1:
+def nd_scale(p, sn, sd):
+    """p * (sn/sd) on (num, den) pair dicts, sn and sd nonzero; den stays > 0."""
+    if sn == 1 and sd == 1:
         return p
     out = {}
     for m, (n, d) in p.items():
-        g1 = gcd(n, ln)
-        g2 = gcd(ld, d)
-        num = (n // g1) * (ld // g2)
-        den = (d // g2) * (ln // g1)
+        g1 = gcd(n, sd)
+        g2 = gcd(sn, d)
+        num = (n // g1) * (sn // g2)
+        den = (d // g2) * (sd // g1)
         if den < 0:
             num, den = -num, -den
         out[m] = (num, den)
     return out
 
 
+def nd_monic(p, lead_mono):
+    """Divide through by the coefficient of ``lead_mono``; den stays > 0."""
+    ln, ld = p[lead_mono]
+    return nd_scale(p, ld, ln)
+
+
 def nd_sub(p, q):
     """p - q on (num, den) pair dicts."""
     out = dict(p)
+    _nd_isub(out, q)
+    return out
+
+
+def _nd_isub(acc, q):
+    """acc -= q in place, on (num, den) pair dicts."""
     for m, (bn, bd) in q.items():
-        prev = out.get(m)
+        prev = acc.get(m)
         if prev is None:
-            out[m] = (-bn, bd)
+            acc[m] = (-bn, bd)
             continue
         an, ad = prev
         g = gcd(ad, bd)
         num = an * (bd // g) - bn * (ad // g)
         if num == 0:
-            del out[m]
+            del acc[m]
             continue
         den = ad * (bd // g)
         g2 = gcd(num, den)
         if g2 > 1:
             num //= g2
             den //= g2
-        out[m] = (num, den)
+        acc[m] = (num, den)
+
+
+def _nd_term_mul(p, mono, cn, cd):
+    """(cn/cd) * mono * p on (num, den) pair dicts."""
+    out = {}
+    for m, (tn, td) in p.items():
+        g1 = gcd(cn, td)
+        g2 = gcd(tn, cd)
+        out[mono_mul(m, mono)] = ((cn // g1) * (tn // g2), (cd // g2) * (td // g1))
     return out
 
 
-def reduce_nd(p, reducers, slots, width):
+def reduce_nd(p, reducers, slots, width, cofactor=None):
     """Full normal form over normalized (num, den) integer pairs.
 
     ``reducers`` is a list of ``(lead_monomial, tail_dict)`` pairs with
@@ -234,11 +250,17 @@ def reduce_nd(p, reducers, slots, width):
     reduction deterministic.  A divisor's lead never exceeds the term it
     divides, so the scan stops at the first reducer ordered above the
     current term.
+
+    ``cofactor``, when given, is a pair ``(cof, reducer_cofs)``: the
+    cofactor dict of ``p`` and one cofactor dict per reducer.  Each step
+    that subtracts ``c * x^q`` times a reducer subtracts the same multiple
+    of its cofactor from ``cof``, in place.
     """
     work = dict(p)
     out = {}
     if not work:
         return out
+    cof, reducer_cofs = cofactor if cofactor is not None else (None, None)
     red_neg_keys = [mono_neg_key(lm, slots, width) for lm, _ in reducers]
     cache = {}
     heap = []
@@ -267,6 +289,8 @@ def reduce_nd(p, reducers, slots, width):
             out[m] = c
             continue
         cn, cd = c
+        if cof is not None:
+            _nd_isub(cof, _nd_term_mul(reducer_cofs[idx], quotient, cn, cd))
         for tm, tc in tail.items():
             nm = mono_mul(tm, quotient)
             tn, td = tc

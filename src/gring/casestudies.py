@@ -182,7 +182,7 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def boyer_certificate(inst: BoyerInstance) -> Certificate:
+def boyer_certificate(inst: BoyerInstance, deadline=None) -> Certificate:
     """Certify that w^r does not normally generate C_s * C_t.
 
     Checks, in order: the specialized scalar part has remainder
@@ -193,7 +193,9 @@ def boyer_certificate(inst: BoyerInstance) -> Certificate:
     of fields, so "leading" means the highest x-degree whose coefficient
     is certified invertible; coefficients that are zero divisors are
     skipped on the way down.  Only when all three checks pass does the
-    certificate carry a conclusion.
+    certificate carry a conclusion.  ``deadline`` is an optional
+    ``time.monotonic()`` value for the unit certificates; exceeding it
+    raises GroebnerTimeout.
     """
     E = build_E(inst.s, inst.t)
     w = inst.normalized_word()
@@ -228,7 +230,7 @@ def boyer_certificate(inst: BoyerInstance) -> Certificate:
         if coeff.is_zero():
             continue
         try:
-            cof = invert(coeff, E)
+            cof = invert(coeff, E, deadline=deadline)
         except NotAUnit:
             continue
         if d < inst.r - 1:
@@ -500,7 +502,7 @@ def sw_verify(
         "" if resid.is_zero() else resid.render(),
     )
     if check_properness:
-        deadline = time.monotonic() + timeout if timeout else None
+        deadline = None if timeout is None else time.monotonic() + timeout
         try:
             gb = rings.A.ideal_gb([w1, w2, w2p, w3, w3p], deadline=deadline)
             report.properness = "whole-ring" if gb.is_unit_ideal() else "proper"

@@ -107,7 +107,7 @@ def _cmd_ideal(args) -> int:
 def _cmd_normalgen(args) -> int:
     pres = _read_presentation(args)
     words = _parse_words(args.words or "", pres.names)
-    deadline = time.monotonic() + args.timeout if args.timeout else None
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     try:
         verdict = normally_generates_check(
             pres, words, use_hash=args.hash, deadline=deadline
@@ -131,7 +131,13 @@ def _cmd_normalgen(args) -> int:
 def _cmd_boyer(args) -> int:
     word = parse_word(args.word, ["g1", "g2"])
     inst = BoyerInstance(args.s, args.t, args.r, word)
-    cert = boyer_certificate(inst)
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
+    try:
+        cert = boyer_certificate(inst, deadline=deadline)
+    except GroebnerTimeout:
+        payload = {"instance": inst.describe(), "verdict": "timeout"}
+        _emit(args, payload, ["verdict: timeout"])
+        return EXIT_TIMEOUT
     lines = [
         f"theta image: {cert.theta_image}",
         f"remainder mod 1-x^2: {cert.remainder}",
@@ -286,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     boyer.add_argument("--t", type=int, required=True)
     boyer.add_argument("--r", type=int, required=True)
     boyer.add_argument("--word", required=True, help="word in g1, g2")
+    boyer.add_argument("--timeout", type=float, default=None, help="seconds")
     boyer.set_defaults(func=_cmd_boyer)
 
     sw = sub.add_parser("sw", help="single-element checks for C_r*C_s*C_t")

@@ -15,14 +15,20 @@ that test first and compare exponents only for the leads that pass, so
 they take the same decisions as a plain divisibility test, at a fraction
 of its cost.  The lcm of a pair is built as a tuple only for pairs that
 survive the chain criterion.
+
+Unit certificates come from the same engine.  With ``cofactor=True`` each
+element also carries its cofactor of the last generator, the only one an
+inverse needs: an S-pair combines the cofactors with the pair's monomial
+multipliers, and ``kernel.reduce_nd`` applies every reduction step to the
+cofactor too.  The run stops at the first nonzero constant; its cofactor,
+scaled with it to 1, inverts the last generator modulo the others.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import insort
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from . import kernel
 from .errors import GroebnerTimeout
@@ -32,12 +38,12 @@ from .poly import MonomialOrder, Poly
 class GroebnerBasis:
     """A reduced Groebner basis: monic, pairwise tail-reduced, sorted."""
 
-    __slots__ = ("polys", "order", "reduced", "_nd_reducers")
+    __slots__ = ("polys", "order", "cofactor", "_nd_reducers")
 
-    def __init__(self, polys, order: MonomialOrder, reduced: bool = True):
+    def __init__(self, polys, order: MonomialOrder):
         self.polys = tuple(polys)
         self.order = order
-        self.reduced = reduced
+        self.cofactor = None  # set by buchberger(..., cofactor=True)
         self._nd_reducers = None
 
     def _reducers(self):
@@ -99,34 +105,55 @@ class GroebnerBasis:
         }
 
 
-def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
+def buchberger(
+    gens, order: MonomialOrder, deadline=None, cofactor=False
+) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     ``deadline`` is an optional ``time.monotonic()`` value; exceeding it
     raises GroebnerTimeout.  The zero ideal yields an empty basis.
+
+    With ``cofactor`` set, every element also carries its cofactor of the
+    last generator: a polynomial c with element = c * gens[-1] modulo the
+    other generators.  The run stops at the first nonzero constant and
+    returns the basis [1], whose ``cofactor`` c has c * gens[-1] = 1
+    modulo the other generators.  Without a constant it returns the
+    reduced basis with ``cofactor`` None.
     """
     slots, width = order.slots, order.width
     registry = order.registry
+    gens = list(gens)
 
     basis = []  # append-only: (lead_mono, monic dict, sugar, lead_key)
     lead_mask = []  # parallel to basis: OR of 1 << vid over the lead
     lead_deg = []  # parallel to basis: total degree of the lead
+    cofs = []  # with ``cofactor``, parallel to basis: cofactor of gens[-1]
     reducers = []  # sorted [(lead_key, lead_mono, tail, basis index)],
     # leads pairwise non-divisible: new elements are normal forms, old
     # leads divisible by a new lead get pruned
     pairs = []  # heap of (sugar, lcm_key, i, j); stale entries skipped
     pending = set()
 
-    def reduce_full(d):
+    def reduce_full(d, cof):
+        """Normal form of d; reduces the cofactor ``cof`` along, in place."""
         if not reducers:
             return d
+        track = None if cof is None else (cof, [cofs[e[3]] for e in reducers])
         return kernel.reduce_nd(
-            d, [(lm, tail) for _, lm, tail, _ in reducers], slots, width
+            d, [(lm, tail) for _, lm, tail, _ in reducers], slots, width, track
         )
 
-    def add_element(d):
-        """Monic-normalize, install as basis element, update pair queue."""
+    def add_element(d, cof):
+        """Monic-normalize, install as basis element, update pair queue.
+
+        Returns True when the run is over: a constant with its cofactor.
+        """
         lm = max(d, key=lambda m: kernel.mono_key(m, slots, width))
+        if cof is not None:
+            ln, ld = d[lm]
+            cofs.append(kernel.nd_scale(cof, ld, ln))
+            if not lm:
+                return True
         d = kernel.nd_monic(d, lm)
         k = len(basis)
         key_k = kernel.mono_key(lm, slots, width)
@@ -162,17 +189,26 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
             reducers,
             (key_k, lm, {m: c for m, c in d.items() if m != lm}, k),
         )
+        return False
+
+    def unit_basis():
+        gb = GroebnerBasis([Poly.one(registry)], order)
+        gb.cofactor = Poly._raw(kernel.nd_to_frac(cofs[-1]), registry)
+        return gb
 
     seeds = sorted(
-        (g for g in gens if not g.is_zero()),
-        key=lambda g: order.key(order.leading(g)[0]),
+        (k for k, g in enumerate(gens) if not g.is_zero()),
+        key=lambda k: order.key(order.leading(gens[k])[0]),
     )
-    for g in seeds:
+    for k in seeds:
         if deadline is not None and time.monotonic() > deadline:
             raise GroebnerTimeout("basis computation exceeded its deadline")
-        r = reduce_full(kernel.nd_from_frac(g._t))
-        if r:
-            add_element(r)
+        cof = None
+        if cofactor:
+            cof = {(): (1, 1)} if k == len(gens) - 1 else {}
+        r = reduce_full(kernel.nd_from_frac(gens[k]._t), cof)
+        if r and add_element(r, cof):
+            return unit_basis()
 
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
@@ -217,9 +253,15 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
         )
         if not s:
             continue
-        r = reduce_full(s)
-        if r:
-            add_element(r)
+        cof = None
+        if cofactor:
+            cof = kernel.nd_sub(
+                {kernel.mono_mul(m, qi): c for m, c in cofs[i].items()},
+                {kernel.mono_mul(m, qj): c for m, c in cofs[j].items()},
+            )
+        r = reduce_full(s, cof)
+        if r and add_element(r, cof):
+            return unit_basis()
 
     # The surviving reducers are a minimal basis; tail-reduce to make the
     # result canonical.  Leads are pairwise non-divisible, so reduction
@@ -247,164 +289,3 @@ def buchberger(gens, order: MonomialOrder, deadline=None) -> GroebnerBasis:
     ]
     polys.sort(key=lambda p: order.key(order.leading(p)[0]))
     return GroebnerBasis(polys, order)
-
-
-# -- extended computation with cofactor tracking ------------------------
-
-
-def _cof_reduce(p, rep, basis, order):
-    """Fully reduce p tracking its expression over the original input.
-
-    ``basis`` holds (lead, lead_coeff, poly_dict, rep) in rational form.
-    Returns the reduced dict and updated rep (list of cofactor dicts).
-    """
-    slots, width = order.slots, order.width
-    work = dict(p)
-    out = {}
-    rep = [dict(r) for r in rep]
-    cache = {}
-    heap = []
-    for m in work:
-        k = kernel.mono_neg_key(m, slots, width)
-        cache[m] = k
-        heap.append((k, m))
-    heapify(heap)
-    while heap:
-        _, m = heappop(heap)
-        c = work.get(m)
-        if not c:
-            continue
-        hit = None
-        for lm, lc, d, brep in basis:
-            q = kernel.mono_div(m, lm)
-            if q is not None:
-                hit = (q, lm, lc, d, brep)
-                break
-        del work[m]
-        if hit is None:
-            out[m] = c
-            continue
-        q, lm, lc, d, brep = hit
-        factor = c / lc
-        for tm, tc in d.items():
-            if tm == lm:
-                continue  # the lead cancels m exactly
-            nm = kernel.mono_mul(tm, q)
-            prev = work.get(nm)
-            if prev is None:
-                v = -factor * tc
-                if v:
-                    work[nm] = v
-                    k = cache.get(nm)
-                    if k is None:
-                        k = kernel.mono_neg_key(nm, slots, width)
-                        cache[nm] = k
-                    heappush(heap, (k, nm))
-            else:
-                v = prev - factor * tc
-                if v:
-                    work[nm] = v
-                else:
-                    del work[nm]
-        for gi, gr in enumerate(brep):
-            if not gr:
-                continue
-            scaled = kernel.poly_mul_mono(gr, q, -factor)
-            rep[gi] = kernel.poly_add(rep[gi], scaled)
-    return out, rep
-
-
-def groebner_with_cofactors(gens, order: MonomialOrder):
-    """Groebner basis plus, for each element, cofactors over ``gens``.
-
-    Returns (basis_polys, reps) with basis_polys[k] == sum over i of
-    reps[k][i] * gens[i].  Stops early once a nonzero constant enters the
-    basis, which is all the unit-certificate path needs.
-    """
-    slots, width = order.slots, order.width
-    registry = order.registry
-    n = len(gens)
-    basis = []  # (lead, lead_coeff, dict, rep)
-
-    def add(d, rep):
-        lm = max(d, key=lambda m: kernel.mono_key(m, slots, width))
-        basis.append((lm, d[lm], d, rep))
-        return lm
-
-    pairs = []
-    pending = set()
-
-    def queue_pairs(k):
-        lmk = basis[k][0]
-        for i in range(k):
-            lmi = basis[i][0]
-            if kernel.mono_coprime(lmi, lmk):
-                continue
-            lcm = kernel.mono_lcm(lmi, lmk)
-            heappush(
-                pairs,
-                (
-                    kernel.mono_deg(lcm),
-                    kernel.mono_key(lcm, slots, width),
-                    i,
-                    k,
-                ),
-            )
-            pending.add((i, k))
-
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        rep = [{} for _ in range(n)]
-        rep[i] = {(): Fraction(1)}
-        d = dict(g._t)
-        r, rrep = _cof_reduce(d, rep, basis, order)
-        if r:
-            add(r, rrep)
-            queue_pairs(len(basis) - 1)
-            if len(r) == 1 and () in r:
-                return _cof_finish(basis, registry)
-
-    while pairs:
-        _, _, i, j = heappop(pairs)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lmi, lci, di, repi = basis[i]
-        lmj, lcj, dj, repj = basis[j]
-        lcm = kernel.mono_lcm(lmi, lmj)
-        qi = kernel.mono_div(lcm, lmi)
-        qj = kernel.mono_div(lcm, lmj)
-        s = kernel.poly_add(
-            kernel.poly_mul_mono(di, qi, Fraction(1) / lci),
-            kernel.poly_mul_mono(dj, qj, Fraction(-1) / lcj),
-        )
-        rep = [
-            kernel.poly_add(
-                kernel.poly_mul_mono(repi[t], qi, Fraction(1) / lci),
-                kernel.poly_mul_mono(repj[t], qj, Fraction(-1) / lcj),
-            )
-            for t in range(n)
-        ]
-        if not s:
-            continue
-        r, rrep = _cof_reduce(s, rep, basis, order)
-        if r:
-            add(r, rrep)
-            queue_pairs(len(basis) - 1)
-            if len(r) == 1 and () in r:
-                return _cof_finish(basis, registry)
-
-    return _cof_finish(basis, registry)
-
-
-def _cof_finish(basis, registry):
-    polys = []
-    reps = []
-    for lm, lc, d, rep in basis:
-        inv = Fraction(1) / Fraction(lc)
-        polys.append(Poly._raw({m: c * inv for m, c in d.items()}, registry))
-        reps.append(
-            [Poly._raw({m: c * inv for m, c in r.items()}, registry) for r in rep]
-        )
-    return polys, reps

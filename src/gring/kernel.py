@@ -12,14 +12,13 @@ from ._kernel_py import (
     mono_key,
     mono_lcm,
     mono_mul,
-    mono_neg_key,
     nd_from_frac,
     nd_monic,
+    nd_scale,
     nd_sub,
     nd_to_frac,
     poly_add,
     poly_mul,
-    poly_mul_mono,
     poly_scale,
     reduce_nd,
 )

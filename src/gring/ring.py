@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import ForeignVariable, NotAUnit
-from .groebner import GroebnerBasis, buchberger, groebner_with_cofactors
+from . import groebner
+from .groebner import GroebnerBasis, buchberger
 from .poly import (
     REGISTRY,
     MonomialOrder,
@@ -133,26 +134,29 @@ def ideal_equal(gens_a, gens_b, ambient: QuotientRing) -> bool:
     return ga.polys == gbs.polys
 
 
-def invert(elem: Poly, ambient: QuotientRing) -> Poly:
+def invert(elem: Poly, ambient: QuotientRing, deadline=None) -> Poly:
     """Inverse of ``elem`` modulo the ambient relations.
 
-    Runs the cofactor-tracking basis computation on relations + elem; the
-    element is a unit iff 1 lands in that ideal, and the cofactor of
-    ``elem`` in the expression of 1 is the inverse.  Raises NotAUnit
-    otherwise.
+    Runs the basis computation on relations + elem with the cofactor of
+    ``elem`` tracked; the element is a unit iff a nonzero constant appears,
+    and the normal form of that constant's cofactor is the inverse.  Raises
+    NotAUnit otherwise, and GroebnerTimeout past ``deadline``.
     """
-    gens = list(ambient.gb.polys) + [elem]
-    basis, reps = groebner_with_cofactors(gens, ambient.order)
-    for b, rep in zip(basis, reps):
-        if b.is_constant() and not b.is_zero():
-            c = b.constant_term()
-            inv = rep[-1] * (Fraction(1) / c)
-            inv = ambient.nf(inv)
-            residue = ambient.nf(elem * inv - Poly.one(ambient.registry))
-            if not residue.is_zero():
-                raise AssertionError("cofactor certificate failed to verify")
-            return inv
-    raise NotAUnit(f"{elem.render()} is not a unit in {ambient.label or 'ring'}")
+    # through the module, so code that swaps ring.buchberger for a plain
+    # basis computation leaves the cofactor path alone
+    gb = groebner.buchberger(
+        list(ambient.gb.polys) + [elem],
+        ambient.order,
+        deadline=deadline,
+        cofactor=True,
+    )
+    if gb.cofactor is None:
+        raise NotAUnit(f"{elem.render()} is not a unit in {ambient.label or 'ring'}")
+    inv = ambient.nf(gb.cofactor)
+    residue = ambient.nf(elem * inv - Poly.one(ambient.registry))
+    if not residue.is_zero():
+        raise AssertionError("cofactor certificate failed to verify")
+    return inv
 
 
 class KFRing(QuotientRing):

@@ -112,6 +112,43 @@ def test_normalgen_timeout_exit_three(capsys):
     assert time.monotonic() - t0 < 10
 
 
+def test_normalgen_timeout_zero_exit_three(capsys):
+    # --timeout 0 is a bound like any other, not "no bound"
+    code, out, _ = run(
+        capsys,
+        "normalgen",
+        "--json",
+        "--presentation",
+        "<g1,g2|g1^5,g2^7>",
+        "--words",
+        "*".join(["g1*g2^-2*g1^-1*g2*g1*g2"] * 5),
+        "--timeout",
+        "0",
+    )
+    assert code == 3
+    assert json.loads(out)["verdict"] == "timeout"
+
+
+def test_boyer_timeout_exit_three(capsys):
+    args = ("boyer", "--s", "2", "--t", "3", "--r", "2", "--word", "g1*g2")
+    code, out, _ = run(capsys, *args, "--json", "--timeout", "0")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == "timeout"
+    assert doc["instance"]["word"] == "g1*g2"
+    code, out, _ = run(capsys, *args, "--timeout", "0")
+    assert code == 3
+    assert out.strip() == "verdict: timeout"
+
+
+def test_boyer_generous_timeout_changes_nothing(capsys):
+    args = ("boyer", "--s", "2", "--t", "3", "--r", "2", "--word", "g1*g2", "--json")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args, "--timeout", "600")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_boyer_certificate_command(capsys):
     code, out, _ = run(
         capsys, "boyer", "--s", "2", "--t", "3", "--r", "2", "--word", "g1*g2"

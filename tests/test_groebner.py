@@ -1,4 +1,4 @@
-from gring.groebner import buchberger, groebner_with_cofactors
+from gring.groebner import buchberger
 from gring.poly import REGISTRY, Poly, degrevlex
 
 x = Poly.variable("x")
@@ -85,28 +85,39 @@ def test_ideal_membership_via_normal_form():
     assert not gb.contains(y)
 
 
-def test_cofactor_tracking_expresses_basis():
-    order = _order("x", "y")
-    gens = [x * x - 1, x * y - 1]
-    basis, reps = groebner_with_cofactors(gens, order)
-    for b, rep in zip(basis, reps):
-        acc = Poly.zero()
-        for r, g in zip(rep, gens):
-            acc = acc + r * g
-        assert acc == b
-
-
-def test_cofactor_tracking_finds_unit():
+def test_cofactor_mode_finds_unit():
     order = _order("x")
     gens = [x * x + 1, x]  # contains 1 = (x^2+1) - x*x
-    basis, reps = groebner_with_cofactors(gens, order)
-    hits = [
-        (b, rep) for b, rep in zip(basis, reps)
-        if b.is_constant() and not b.is_zero()
-    ]
-    assert hits
-    b, rep = hits[0]
-    acc = Poly.zero()
-    for r, g in zip(rep, gens):
-        acc = acc + r * g
-    assert acc == b
+    gb = buchberger(gens, order, cofactor=True)
+    assert list(gb) == [Poly.one()]
+    c = gb.cofactor
+    assert buchberger(gens[:-1], order).contains(1 - c * x)
+
+
+def test_cofactor_mode_scales_the_constant():
+    # 3xy = 3 modulo xy - 1, so the cofactor of 3xy is 1/3 there
+    order = _order("x", "y")
+    last = 3 * x * y
+    gb = buchberger([x * y - 1, last], order, cofactor=True)
+    assert gb.is_unit_ideal()
+    assert buchberger([x * y - 1], order).contains(1 - gb.cofactor * last)
+
+
+def test_cofactor_mode_unit_found_by_an_s_pair():
+    # no generator reduces to a constant; 1 appears only from S-pairs
+    order = _order("x", "y")
+    gens = [x * y - 1, x * x - y, y * y * y - x - 1]
+    assert buchberger(gens, order).is_unit_ideal()
+    gb = buchberger(gens, order, cofactor=True)
+    assert list(gb) == [Poly.one()]
+    others = buchberger(gens[:-1], order)
+    assert others.contains(1 - gb.cofactor * gens[-1])
+
+
+def test_cofactor_mode_without_unit_returns_the_reduced_basis():
+    order = _order("x", "y")
+    gens = [x * x - 1, x * y - 1]
+    gb = buchberger(gens, order, cofactor=True)
+    assert gb.cofactor is None
+    assert gb.polys == buchberger(gens, order).polys
+    assert buchberger(gens, order).cofactor is None

@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 
 from gring import ring as ring_module
-from gring.errors import NotAUnit
+from gring.errors import GroebnerTimeout, NotAUnit
 from gring.poly import REGISTRY, Poly, VariableRegistry, degrevlex
 from gring.ring import (
     QuotientRing,
@@ -180,6 +181,21 @@ def test_invert_algebraic_unit():
     )
     inv = invert(t, ring)
     assert ring.nf(t * inv - 1).is_zero()
+
+
+def test_invert_honours_deadline():
+    # without a deadline this inversion in E(5,7) runs for minutes
+    from gring.casestudies import build_E
+    from gring.poly import parse_poly
+
+    E = build_E(5, 7)
+    elem = E.nf(
+        parse_poly("-mu2*s1^2*s2^2 + 2*mu1*s1^2*s2^2 - s1^3 + 3*s2 + s1")
+    )
+    t0 = time.monotonic()
+    with pytest.raises(GroebnerTimeout):
+        invert(elem, E, deadline=time.monotonic() + 1)
+    assert time.monotonic() - t0 < 10
 
 
 def test_vdim():
