@@ -173,12 +173,13 @@ def poly_scale(p, c):
 
 
 def nd_from_frac(p):
-    """Fraction-coefficient dict -> normalized (num, den) pair dict."""
+    """Exact-rational coefficient dict -> normalized (num, den) pair dict."""
     return {m: (c.numerator, c.denominator) for m, c in p.items()}
 
 
 def nd_to_frac(p):
-    return {m: Fraction(n, d) for m, (n, d) in p.items()}
+    """(num, den) pair dict -> coefficient dict: ``int`` when den is 1."""
+    return {m: n if d == 1 else Fraction(n, d) for m, (n, d) in p.items()}
 
 
 def nd_scale(p, sn, sd):

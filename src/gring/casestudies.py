@@ -26,7 +26,7 @@ from .errors import (
     NotAUnit,
 )
 from .poly import REGISTRY, Poly, block_order, chebyshev_like, degrevlex
-from .ring import QuotientRing, build_KF, invert
+from .ring import QuotientRing, build_KF, cached_ring, invert
 from .words import Word
 
 
@@ -94,11 +94,17 @@ class BoyerInstance:
 
 
 def build_E(s: int, t: int) -> QuotientRing:
+    """The ring ``make_E(s, t)``, built once per (s, t)."""
+    return cached_ring(make_E, s, t)
+
+
+def make_E(s: int, t: int) -> QuotientRing:
     """The coefficient algebra adjoining roots of the degree s, t members.
 
     Variables mu1, mu2 (the roots) and s1, s2 (sines: s_i^2 + mu_i^2 = 1),
     together with the isolated variable x on top of the order so that
-    polynomials read as elements of E[x].
+    polynomials read as elements of E[x].  Builds a new ring on every
+    call; ``build_E`` shares one per (s, t).
     """
     mu1, mu2 = _poly_var("mu1"), _poly_var("mu2")
     s1, s2 = _poly_var("s1"), _poly_var("s2")
@@ -327,6 +333,7 @@ class SWRings:
 
     def __init__(self, r: int, s: int, t: int):
         self.r, self.s, self.t = r, s, t
+        self._s_inv = {}
         vids = _sw_vids()
         xv = REGISTRY.var("x")
         mu = {i: _poly_var(f"mu{i}") for i in (1, 2, 3)}
@@ -367,7 +374,11 @@ class SWRings:
         return self.A.nf(p.substitute(self._sub))
 
     def s_inverse(self, i: int) -> Poly:
-        return invert(_poly_var(f"s{i}"), self.eprime)
+        """Inverse of the sine s_i in E'; computed once per ring."""
+        inv = self._s_inv.get(i)
+        if inv is None:
+            inv = self._s_inv[i] = invert(_poly_var(f"s{i}"), self.eprime)
+        return inv
 
     def W(self) -> Poly:
         mu1, mu2, mu3 = (_poly_var(f"mu{i}") for i in (1, 2, 3))
@@ -386,7 +397,8 @@ class SWRings:
 
 
 def sw_build(r: int, s: int, t: int) -> SWRings:
-    return SWRings(r, s, t)
+    """The rings ``SWRings(r, s, t)``, built once per (r, s, t)."""
+    return cached_ring(SWRings, r, s, t)
 
 
 def _relation_matrix():
@@ -638,7 +650,7 @@ def conjecture_probe(
         for vid in vids:
             c = rng.randint(-max_coeff, max_coeff)
             if c:
-                out = out + c * Poly._raw({((vid, 1),): Fraction(1)}, REGISTRY)
+                out = out + c * Poly._raw({((vid, 1),): 1}, REGISTRY)
         return out
 
     whole = 0

@@ -71,7 +71,13 @@ def _emit(args, payload: dict, text_lines):
 
 def _cmd_ring_describe(args) -> int:
     pres = _read_presentation(args)
-    qr = quotient_ring_of_presentation(pres)
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
+    try:
+        qr = quotient_ring_of_presentation(pres, deadline=deadline)
+    except GroebnerTimeout:
+        payload = {"presentation": pres.render(), "verdict": "timeout"}
+        _emit(args, payload, ["verdict: timeout"])
+        return EXIT_TIMEOUT
     desc = qr.describe()
     desc["presentation"] = pres.render()
     dim = qr.vdim()
@@ -262,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     describe.add_argument("--presentation", help="inline presentation text")
     describe.add_argument("--file", help="file containing the presentation")
+    describe.add_argument("--timeout", type=float, default=None, help="seconds")
     describe.set_defaults(func=_cmd_ring_describe)
 
     ideal = sub.add_parser(

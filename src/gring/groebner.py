@@ -52,11 +52,8 @@ class GroebnerBasis:
             for p in self.polys:
                 lm, lc = self.order.leading(p)
                 assert lc == 1
-                tail = {
-                    m: (c.numerator, c.denominator)
-                    for m, c in p._t.items()
-                    if m != lm
-                }
+                tail = kernel.nd_from_frac(p._t)
+                del tail[lm]
                 reds.append((lm, tail))
             self._nd_reducers = reds
         return self._nd_reducers

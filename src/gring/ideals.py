@@ -130,8 +130,14 @@ def abelianization_kernel_generators(n: int) -> IdealSpec:
     return IdealSpec(ring, _prune(ring, gens), "custom")
 
 
-def quotient_ring_of_presentation(pres: Presentation) -> QuotientRing:
-    """Coordinate ring of the presented group: relator ideal quotient."""
+def quotient_ring_of_presentation(
+    pres: Presentation, deadline=None
+) -> QuotientRing:
+    """Coordinate ring of the presented group: relator ideal quotient.
+
+    ``deadline`` is an optional ``time.monotonic()`` value for the relation
+    basis; exceeding it raises GroebnerTimeout.
+    """
     n = pres.generator_count
     ring = build_KF(n)
     extra = hash_generators(pres.relators, n).generators
@@ -141,6 +147,7 @@ def quotient_ring_of_presentation(pres: Presentation) -> QuotientRing:
         order=ring.order,
         registry=ring.registry,
         label=f"K[{pres.render()}]",
+        deadline=deadline,
     )
 
 

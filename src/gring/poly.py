@@ -1,8 +1,11 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-All coefficients are ``fractions.Fraction`` so every equality test in the
-package is exact.  Variables live in an append-only registry that hands out
-stable integer ids, letting polynomials built in different modules compose.
+Coefficients are exact rationals: a plain ``int`` whenever a constructor
+or the kernel produces an integral value, a ``fractions.Fraction`` only for
+a true fraction.  The two compare, hash and print alike, so every equality
+test in the package is exact and no coefficient is ever a float.
+Variables live in an append-only registry that hands out stable integer
+ids, letting polynomials built in different modules compose.
 Monomial orders are block orders with degree-reverse-lexicographic
 comparison inside each block; a single block gives plain degrevlex and a
 leading singleton block gives the elimination orders used downstream.
@@ -65,11 +68,12 @@ REGISTRY = VariableRegistry()
 CHEB_VAR = "x"
 
 
-def _coeff(c) -> Fraction:
+def _coeff(c) -> int | Fraction:
+    """``c`` as a coefficient: an ``int`` if integral, else a ``Fraction``."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c)!r}")
 
 
@@ -112,7 +116,7 @@ class Poly:
     def variable(cls, name: str, registry=None) -> "Poly":
         reg = registry if registry is not None else REGISTRY
         vid = reg.var(name)
-        return cls._raw({((vid, 1),): Fraction(1)}, reg)
+        return cls._raw({((vid, 1),): 1}, reg)
 
     # -- inspection ----------------------------------------------------
 
@@ -126,8 +130,8 @@ class Poly:
     def is_constant(self) -> bool:
         return not self._t or (len(self._t) == 1 and () in self._t)
 
-    def constant_term(self) -> Fraction:
-        return self._t.get((), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self._t.get((), 0)
 
     def variables(self):
         """Sorted ids of the variables that actually occur."""
@@ -357,7 +361,7 @@ class MonomialOrder:
         if p.is_zero():
             return p
         _, c = self.leading(p)
-        return p * (Fraction(1) / c)
+        return p * Fraction(1, c)  # __mul__ stores an integral 1/c as an int
 
     def descriptor(self) -> dict:
         reg = self.registry
@@ -497,5 +501,5 @@ def chebyshev_like(n: int, registry=None) -> Poly:
     for i, c in enumerate(_cheb_coeffs(n)):
         if c:
             mono = () if i == 0 else ((vid, i),)
-            out[mono] = Fraction(c)
+            out[mono] = c
     return Poly._raw(out, reg)

@@ -12,7 +12,6 @@ instance reduces to zero modulo them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import ForeignVariable, NotAUnit
@@ -48,14 +47,16 @@ class QuotientRing:
     are equal iff their representatives are equal as polynomials.
     """
 
-    def __init__(self, vids, relations, order=None, registry=None, label=""):
+    def __init__(
+        self, vids, relations, order=None, registry=None, label="", deadline=None
+    ):
         self.registry = registry if registry is not None else REGISTRY
         self.vids = tuple(vids)
         self.order = order if order is not None else degrevlex(
             self.vids, self.registry
         )
         self.label = label
-        self.gb = buchberger(list(relations), self.order)
+        self.gb = buchberger(list(relations), self.order, deadline=deadline)
 
     @property
     def relation_polys(self):
@@ -210,9 +211,7 @@ class KFRing(QuotientRing):
     def lam(self, i: int) -> Poly:
         if not 1 <= i <= self.n:
             raise ForeignVariable(f"generator index {i} out of range")
-        return Poly._raw(
-            {((self._lam[i], 1),): Fraction(1)}, self.registry
-        )
+        return Poly._raw({((self._lam[i], 1),): 1}, self.registry)
 
     def m(self, i: int, j: int) -> Poly:
         """Canonical pairwise symbol: m(i,i) rewrites to 1 - lam_i^2."""
@@ -224,7 +223,7 @@ class KFRing(QuotientRing):
             return one - li * li
         if i > j:
             i, j = j, i
-        return Poly._raw({((self._m[(i, j)], 1),): Fraction(1)}, self.registry)
+        return Poly._raw({((self._m[(i, j)], 1),): 1}, self.registry)
 
     def w(self, i: int, j: int, k: int) -> Poly:
         """Fully alternating triple symbol as a signed canonical variable."""
@@ -240,7 +239,7 @@ class KFRing(QuotientRing):
         if sign == 0:
             return 0, Poly.zero(self.registry)
         key = tuple(sorted((i, j, k)))
-        p = Poly._raw({((self._w[key], 1),): Fraction(1)}, self.registry)
+        p = Poly._raw({((self._w[key], 1),): 1}, self.registry)
         return sign, p
 
     def split_w(self, p: Poly):
@@ -316,15 +315,23 @@ class KFRing(QuotientRing):
         return rels
 
 
-_KF_CACHE = {}
+_RING_CACHE = {}
+
+
+def cached_ring(make, *args):
+    """``make(*args)``, built once per process and shared by every caller.
+
+    A ring never changes after construction, so one object can serve all
+    callers.  Every cached ring constructor goes through here.
+    """
+    key = (make, *args)
+    ring = _RING_CACHE.get(key)
+    if ring is None:
+        ring = _RING_CACHE[key] = make(*args)
+    return ring
 
 
 def build_KF(n: int, registry=None) -> KFRing:
     """The rank-n coordinate ring; cached per registry object."""
     reg = registry if registry is not None else REGISTRY
-    key = (reg, n)
-    ring = _KF_CACHE.get(key)
-    if ring is None:
-        ring = KFRing(n, reg)
-        _KF_CACHE[key] = ring
-    return ring
+    return cached_ring(KFRing, n, reg)

@@ -42,6 +42,27 @@ def test_ring_describe_from_file(tmp_path, capsys):
     assert "lam1" in out
 
 
+def test_ring_describe_timeout_zero_exit_three(capsys):
+    args = ("ring", "describe", "--presentation", "<g1,g2|g1^5,g2^7>")
+    code, out, _ = run(capsys, *args, "--json", "--timeout", "0")
+    assert code == 3
+    assert json.loads(out) == {
+        "presentation": "<g1,g2|g1^5,g2^7>",
+        "verdict": "timeout",
+    }
+    code, out, _ = run(capsys, *args, "--timeout", "0")
+    assert code == 3
+    assert out.strip() == "verdict: timeout"
+
+
+def test_ring_describe_generous_timeout_changes_nothing(capsys):
+    args = ("ring", "describe", "--json", "--presentation", "<g1,g2|g1^2,g2^3>")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args, "--timeout", "600")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_ideal_hash(capsys):
     code, out, _ = run(
         capsys,

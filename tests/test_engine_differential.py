@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 import pytest
 
 from gring import kernel, ring
-from gring.casestudies import SWInstance, build_E, sw_build, sw_elements
+from gring.casestudies import SWInstance, SWRings, make_E, sw_elements
 from gring.groebner import GroebnerBasis, buchberger
 from gring.ideals import bullet_generators, hash_generators, hashhash_generators
 from gring.poly import Poly
@@ -208,7 +208,8 @@ def test_properness_ideals(recorded):
             (g, rng.choice((1, 1 - orders[g - 1])) if orders[g - 1] <= 3 else 1)
             for g in gens
         )
-        rings = sw_build(r, s, t)
+        # built uncached, so the E' and A relation bases are recorded too
+        rings = SWRings(r, s, t)
         rings.A.ideal_gb(sw_elements(SWInstance(r, s, t, word), rings))
     _assert_same_as_reference(*recorded)
 
@@ -216,7 +217,7 @@ def test_properness_ideals(recorded):
 def test_E_relation_bases(recorded):
     for s in (3, 5):
         for t in (4, 7):
-            build_E(s, t)
+            make_E(s, t)  # uncached: build_E may hand back an earlier ring
     _assert_same_as_reference(*recorded)
 
 
