@@ -26,6 +26,14 @@ def _acc(d, key, p):
     d[key] = p if prev is None else prev + p
 
 
+def _acc_b(d, i, j, p):
+    """Add p to the coefficient of b_ij in ``d``: b_ii = 0, b_ji = -b_ij."""
+    if i < j:
+        _acc(d, (i, j), p)
+    elif i > j:
+        _acc(d, (j, i), -p)
+
+
 class AElem:
     """scalar*1 + sum_i vec[i]*v_i + sum_{i<j} brk[(i,j)]*b_ij.
 
@@ -169,59 +177,44 @@ class AElem:
             return NotImplemented
         self._check(other)
         ring = self.ring
-        reg = ring.registry
-        zero = Poly.zero(reg)
         out_s = self.scalar * other.scalar
         out_v = {}
         out_b = {}
 
-        def acc_v(i, p):
-            if p.is_zero():
-                return
-            out_v[i] = out_v.get(i, zero) + p
-
-        def acc_b(i, j, p):
-            if i == j or p.is_zero():
-                return
-            if i > j:
-                i, j = j, i
-                p = -p
-            out_b[(i, j)] = out_b.get((i, j), zero) + p
-
         # scalar times basis parts, both sides
         if not self.scalar.is_zero():
             for i, p in other.vec.items():
-                acc_v(i, self.scalar * p)
+                _acc(out_v, i, self.scalar * p)
             for (i, j), p in other.brk.items():
-                acc_b(i, j, self.scalar * p)
+                _acc_b(out_b, i, j, self.scalar * p)
         if not other.scalar.is_zero():
             for i, p in self.vec.items():
-                acc_v(i, other.scalar * p)
+                _acc(out_v, i, other.scalar * p)
             for (i, j), p in self.brk.items():
-                acc_b(i, j, other.scalar * p)
+                _acc_b(out_b, i, j, other.scalar * p)
 
         # v_i * v_j = -m(i,j) + b_ij
         for i, a in self.vec.items():
             for j, b in other.vec.items():
                 c = a * b
                 out_s = out_s - c * ring.m(i, j)
-                acc_b(i, j, c)
+                _acc_b(out_b, i, j, c)
 
         # b_ij * v_k = -w(i,j,k) + m(i,k) v_j - m(j,k) v_i
         for (i, j), a in self.brk.items():
             for k, b in other.vec.items():
                 c = a * b
                 out_s = out_s - c * ring.w(i, j, k)
-                acc_v(j, c * ring.m(i, k))
-                acc_v(i, -(c * ring.m(j, k)))
+                _acc(out_v, j, c * ring.m(i, k))
+                _acc(out_v, i, -(c * ring.m(j, k)))
 
         # v_k * b_ij = -w(i,j,k) - m(i,k) v_j + m(j,k) v_i
         for k, a in self.vec.items():
             for (i, j), b in other.brk.items():
                 c = a * b
                 out_s = out_s - c * ring.w(i, j, k)
-                acc_v(j, -(c * ring.m(i, k)))
-                acc_v(i, c * ring.m(j, k))
+                _acc(out_v, j, -(c * ring.m(i, k)))
+                _acc(out_v, i, c * ring.m(j, k))
 
         # b_ij * b_kl = m(i,l)m(j,k) - m(i,k)m(j,l) - w(i,j,k) v_l + w(i,j,l) v_k
         for (i, j), a in self.brk.items():
@@ -230,8 +223,8 @@ class AElem:
                 out_s = out_s + c * (
                     ring.m(i, l) * ring.m(j, k) - ring.m(i, k) * ring.m(j, l)
                 )
-                acc_v(l, -(c * ring.w(i, j, k)))
-                acc_v(k, c * ring.w(i, j, l))
+                _acc(out_v, l, -(c * ring.w(i, j, k)))
+                _acc(out_v, k, c * ring.w(i, j, l))
 
         return AElem(ring, out_s, out_v, out_b)
 
@@ -324,46 +317,32 @@ def bracket(a: AElem, b: AElem) -> AElem:
     _require_lambda(b, "bracket")
     a._check(b)
     ring = a.ring
-    zero = Poly.zero(ring.registry)
     out_v = {}
     out_b = {}
 
-    def acc_v(i, p):
-        if p.is_zero():
-            return
-        out_v[i] = out_v.get(i, zero) + p
-
-    def acc_b(i, j, p):
-        if i == j or p.is_zero():
-            return
-        if i > j:
-            i, j = j, i
-            p = -p
-        out_b[(i, j)] = out_b.get((i, j), zero) + p
-
     for i, p in a.vec.items():
         for j, q in b.vec.items():
-            acc_b(i, j, p * q)
+            _acc_b(out_b, i, j, p * q)
     # [v_i, b_jk] = m(i,k) v_j - m(i,j) v_k
     for i, p in a.vec.items():
         for (j, k), q in b.brk.items():
             c = p * q
-            acc_v(j, c * ring.m(i, k))
-            acc_v(k, -(c * ring.m(i, j)))
+            _acc(out_v, j, c * ring.m(i, k))
+            _acc(out_v, k, -(c * ring.m(i, j)))
     # [b_ij, v_k] = m(i,k) v_j - m(j,k) v_i
     for (i, j), p in a.brk.items():
         for k, q in b.vec.items():
             c = p * q
-            acc_v(j, c * ring.m(i, k))
-            acc_v(i, -(c * ring.m(j, k)))
+            _acc(out_v, j, c * ring.m(i, k))
+            _acc(out_v, i, -(c * ring.m(j, k)))
     # [b_ij, b_kl] = m(i,k) b_jl + m(j,l) b_ik - m(i,l) b_jk - m(j,k) b_il
     for (i, j), p in a.brk.items():
         for (k, l), q in b.brk.items():
             c = p * q
-            acc_b(j, l, c * ring.m(i, k))
-            acc_b(i, k, c * ring.m(j, l))
-            acc_b(j, k, -(c * ring.m(i, l)))
-            acc_b(i, l, -(c * ring.m(j, k)))
+            _acc_b(out_b, j, l, c * ring.m(i, k))
+            _acc_b(out_b, i, k, c * ring.m(j, l))
+            _acc_b(out_b, j, k, -(c * ring.m(i, l)))
+            _acc_b(out_b, i, l, -(c * ring.m(j, k)))
     return AElem(ring, None, out_v, out_b)
 
 

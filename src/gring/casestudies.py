@@ -8,14 +8,16 @@ certificate that w^r cannot normally generate the group.  For
 C_r * C_s * C_t the analogous specialization lands in a four-variable
 quadric ring; the driver verifies the structural identities satisfied by
 the five ideal generators attached to a word and, optionally, that they
-generate a proper ideal.
+generate a proper ideal.  ``boyer_certificate`` and ``sw_verify`` bound
+their basis computations by an optional ``deadline``, a
+``time.monotonic()`` value.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .agmod import AElem, bracket, dot, embed_word
@@ -48,10 +50,6 @@ def normalize_unit_exponents(w: Word, moduli) -> Word:
         if es != 1:
             out = out * Word.generator(i, 1 - es)  # a multiple of g_i^mod
     return out
-
-
-def _poly_var(name: str) -> Poly:
-    return Poly.variable(name, REGISTRY)
 
 
 def _power_poly(n: int, target: Poly, ambient: QuotientRing) -> Poly:
@@ -106,8 +104,8 @@ def make_E(s: int, t: int) -> QuotientRing:
     polynomials read as elements of E[x].  Builds a new ring on every
     call; ``build_E`` shares one per (s, t).
     """
-    mu1, mu2 = _poly_var("mu1"), _poly_var("mu2")
-    s1, s2 = _poly_var("s1"), _poly_var("s2")
+    mu1, mu2 = Poly.variable("mu1"), Poly.variable("mu2")
+    s1, s2 = Poly.variable("s1"), Poly.variable("s2")
     xv = REGISTRY.var("x")
     evars = [REGISTRY.lookup(n) for n in ("mu1", "mu2", "s1", "s2")]
     rels = [
@@ -125,11 +123,10 @@ def make_E(s: int, t: int) -> QuotientRing:
 def boyer_theta(p: Poly, E: QuotientRing) -> Poly:
     """Specialize lam1 -> mu1, lam2 -> mu2, m12 -> s1*s2*x, then reduce."""
     ring2 = build_KF(2)
-    sub = {
-        ring2._lam[1]: _poly_var("mu1"),
-        ring2._lam[2]: _poly_var("mu2"),
-        ring2._m[(1, 2)]: _poly_var("s1") * _poly_var("s2") * _poly_var("x"),
-    }
+    mu1, mu2, s1, s2, x = (
+        Poly.variable(n) for n in ("mu1", "mu2", "s1", "s2", "x")
+    )
+    sub = {ring2._lam[1]: mu1, ring2._lam[2]: mu2, ring2._m[(1, 2)]: s1 * s2 * x}
     return E.nf(p.substitute(sub))
 
 
@@ -140,7 +137,7 @@ def _x_remainder_mod_quadric(p: Poly) -> Poly:
     deg = p.degree_in(xvid)
     if deg == float("-inf"):
         return p
-    xpoly = _poly_var("x")
+    xpoly = Poly.variable("x")
     for k in range(int(deg) + 1):
         c = p.coefficient_in(xvid, k)
         if c.is_zero():
@@ -170,19 +167,7 @@ class Certificate:
         return self.conclusion is not None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "instance": self.instance,
-            "order": self.order,
-            "theta_image": self.theta_image,
-            "remainder": self.remainder,
-            "raw_degree": self.raw_degree,
-            "degree": self.degree,
-            "leading_coefficient": self.leading_coefficient,
-            "unit_certificate": self.unit_certificate,
-            "conclusion": self.conclusion,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -208,8 +193,8 @@ def boyer_certificate(inst: BoyerInstance, deadline=None) -> Certificate:
     ring2 = build_KF(2)
     p = boyer_theta(embed_word(ring2, w).bar(), E)
 
-    mu1mu2 = _poly_var("mu1") * _poly_var("mu2")
-    s1s2x = _poly_var("s1") * _poly_var("s2") * _poly_var("x")
+    mu1mu2 = Poly.variable("mu1") * Poly.variable("mu2")
+    s1s2x = Poly.variable("s1") * Poly.variable("s2") * Poly.variable("x")
     remainder = E.nf(_x_remainder_mod_quadric(p))
     expected = E.nf(mu1mu2 - s1s2x)
     if remainder != expected:
@@ -301,7 +286,8 @@ class SWInstance:
         }
 
 
-_SW_NAMES = ("mu1", "mu2", "mu3", "s1", "s2", "s3", "x", "y", "u", "v")
+_QUADRIC_NAMES = ("x", "y", "u", "v")
+_SW_NAMES = ("mu1", "mu2", "mu3", "s1", "s2", "s3", *_QUADRIC_NAMES)
 
 
 def _sw_vids():
@@ -309,17 +295,50 @@ def _sw_vids():
 
 
 def _quadric() -> Poly:
-    x, y, u, v = (_poly_var(n) for n in ("x", "y", "u", "v"))
+    x, y, u, v = (Poly.variable(n) for n in _QUADRIC_NAMES)
     return (1 - x * x) * (1 - y * y) - (u * u + v * v)
+
+
+def _make_A4() -> QuotientRing:
+    """The quadric ring: x, y, u, v modulo (1-x^2)(1-y^2) = u^2 + v^2."""
+    vids = tuple(REGISTRY.var(n) for n in _QUADRIC_NAMES)
+    return QuotientRing(
+        vids,
+        [_quadric()],
+        order=degrevlex(vids, REGISTRY),
+        registry=REGISTRY,
+        label="A4",
+    )
 
 
 def _sine_relations():
     rels = []
     for i in (1, 2, 3):
-        mu = _poly_var(f"mu{i}")
-        s = _poly_var(f"s{i}")
+        mu = Poly.variable(f"mu{i}")
+        s = Poly.variable(f"s{i}")
         rels.append(s * s + mu * mu - 1)
     return rels
+
+
+def _sw_theta_map() -> dict:
+    """The rank-3 specialization as a substitution on KF3's symbols.
+
+    lam_i -> mu_i, m12 -> s1 s2 x, m13 -> s3 s1 y, m23 -> s2 s3 (u + xy),
+    w123 -> s1 s2 s3 v.
+    """
+    ring3 = build_KF(3)
+    mu1, mu2, mu3, s1, s2, s3, x, y, u, v = (
+        Poly.variable(n) for n in _SW_NAMES
+    )
+    return {
+        ring3._lam[1]: mu1,
+        ring3._lam[2]: mu2,
+        ring3._lam[3]: mu3,
+        ring3._m[(1, 2)]: s1 * s2 * x,
+        ring3._m[(1, 3)]: s3 * s1 * y,
+        ring3._m[(2, 3)]: s2 * s3 * (u + x * y),
+        ring3._w[(1, 2, 3)]: s1 * s2 * s3 * v,
+    }
 
 
 class SWRings:
@@ -336,12 +355,10 @@ class SWRings:
         self._s_inv = {}
         vids = _sw_vids()
         xv = REGISTRY.var("x")
-        mu = {i: _poly_var(f"mu{i}") for i in (1, 2, 3)}
-        ps = [
-            chebyshev_like(n).substitute({xv: mu[i]})
+        erels = [
+            chebyshev_like(n).substitute({xv: Poly.variable(f"mu{i}")})
             for i, n in ((1, r), (2, s), (3, t))
-        ]
-        erels = ps + _sine_relations()
+        ] + _sine_relations()
         evids = vids[:6]
         self.eprime = QuotientRing(
             evids,
@@ -357,18 +374,7 @@ class SWRings:
             registry=REGISTRY,
             label=f"A({r},{s},{t})",
         )
-        ring3 = build_KF(3)
-        s1, s2, s3 = (_poly_var(f"s{i}") for i in (1, 2, 3))
-        x, y, u, v = (_poly_var(n) for n in ("x", "y", "u", "v"))
-        self._sub = {
-            ring3._lam[1]: mu[1],
-            ring3._lam[2]: mu[2],
-            ring3._lam[3]: mu[3],
-            ring3._m[(1, 2)]: s1 * s2 * x,
-            ring3._m[(1, 3)]: s3 * s1 * y,
-            ring3._m[(2, 3)]: s2 * s3 * (u + x * y),
-            ring3._w[(1, 2, 3)]: s1 * s2 * s3 * v,
-        }
+        self._sub = _sw_theta_map()
 
     def theta(self, p: Poly) -> Poly:
         return self.A.nf(p.substitute(self._sub))
@@ -377,13 +383,13 @@ class SWRings:
         """Inverse of the sine s_i in E'; computed once per ring."""
         inv = self._s_inv.get(i)
         if inv is None:
-            inv = self._s_inv[i] = invert(_poly_var(f"s{i}"), self.eprime)
+            inv = self._s_inv[i] = invert(Poly.variable(f"s{i}"), self.eprime)
         return inv
 
     def W(self) -> Poly:
-        mu1, mu2, mu3 = (_poly_var(f"mu{i}") for i in (1, 2, 3))
-        s1, s2, s3 = (_poly_var(f"s{i}") for i in (1, 2, 3))
-        x, y = _poly_var("x"), _poly_var("y")
+        mu1, mu2, mu3 = (Poly.variable(f"mu{i}") for i in (1, 2, 3))
+        s1, s2, s3 = (Poly.variable(f"s{i}") for i in (1, 2, 3))
+        x, y = Poly.variable("x"), Poly.variable("y")
         return self.A.nf(
             -(s1 * s1 * s2 * s3 * x * y)
             + mu1 * mu3 * s1 * s2 * x
@@ -391,8 +397,10 @@ class SWRings:
             + s1 * s1 * mu2 * mu3
         )
 
-    def J_gens(self):
-        x, y, u, v = (_poly_var(n) for n in ("x", "y", "u", "v"))
+    @staticmethod
+    def J_gens():
+        """Generators of J = <u, v, 1-x^2, 1-y^2>."""
+        x, y, u, v = (Poly.variable(n) for n in _QUADRIC_NAMES)
         return [u, v, 1 - x * x, 1 - y * y]
 
 
@@ -402,7 +410,7 @@ def sw_build(r: int, s: int, t: int) -> SWRings:
 
 
 def _relation_matrix():
-    x, y, u, v = (_poly_var(n) for n in ("x", "y", "u", "v"))
+    x, y, u, v = (Poly.variable(n) for n in _QUADRIC_NAMES)
     one = Poly.one(REGISTRY)
     zero = Poly.zero(REGISTRY)
     N = [
@@ -462,22 +470,13 @@ class CheckReport:
         return all(c["ok"] for c in self.checks) and self.properness != "whole-ring"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "instance": self.instance,
-            "checks": self.checks,
-            "properness": self.properness,
-            "ok": self.ok,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return {**asdict(self), "ok": self.ok}
 
 
 def sw_verify(
     inst: SWInstance,
     check_properness: bool = False,
-    timeout: float | None = None,
+    deadline: float | None = None,
 ) -> CheckReport:
     """Verify the structural identities for one instance, exactly.
 
@@ -485,11 +484,10 @@ def sw_verify(
     in the ideal <u, v, 1-x^2, 1-y^2>.  Failures of (a) or (b) indicate an
     engine bug, and are reported with the offending normal form.  With
     ``check_properness`` the five elements are tested to generate a proper
-    ideal of A, with an optional deadline in seconds (a timeout is
-    reported, not raised).
+    ideal of A; ``deadline`` is an optional ``time.monotonic()`` value for
+    that basis, and exceeding it is reported as properness "timeout", not
+    raised.
     """
-    import time
-
     rings = sw_build(inst.r, inst.s, inst.t)
     report = CheckReport("sw-verify", inst.describe())
     w1, w2, w2p, w3, w3p = sw_elements(inst, rings)
@@ -514,7 +512,6 @@ def sw_verify(
         "" if resid.is_zero() else resid.render(),
     )
     if check_properness:
-        deadline = None if timeout is None else time.monotonic() + timeout
         try:
             gb = rings.A.ideal_gb([w1, w2, w2p, w3, w3p], deadline=deadline)
             report.properness = "whole-ring" if gb.is_unit_ideal() else "proper"
@@ -526,15 +523,8 @@ def sw_verify(
 def sw_static_checks() -> CheckReport:
     """Identities that hold for every instance: checked once, exactly."""
     report = CheckReport("sw-static")
-    x, y, u, v = (_poly_var(n) for n in ("x", "y", "u", "v"))
-    quadric_vids = tuple(REGISTRY.var(n) for n in ("x", "y", "u", "v"))
-    A4 = QuotientRing(
-        quadric_vids,
-        [_quadric()],
-        order=degrevlex(quadric_vids, REGISTRY),
-        registry=REGISTRY,
-        label="A4",
-    )
+    x, y, u, v = (Poly.variable(n) for n in _QUADRIC_NAMES)
+    A4 = cached_ring(_make_A4)
     N, M = _relation_matrix()
     for i in range(4):
         for j in range(4):
@@ -583,18 +573,7 @@ def sw_static_checks() -> CheckReport:
         registry=REGISTRY,
         label="A-welldef",
     )
-    mu = {i: _poly_var(f"mu{i}") for i in (1, 2, 3)}
-    s = {i: _poly_var(f"s{i}") for i in (1, 2, 3)}
-    sub = {
-        ring3._lam[1]: mu[1],
-        ring3._lam[2]: mu[2],
-        ring3._lam[3]: mu[3],
-        ring3._m[(1, 2)]: s[1] * s[2] * x,
-        ring3._m[(1, 3)]: s[3] * s[1] * y,
-        ring3._m[(2, 3)]: s[2] * s[3] * (u + x * y),
-        ring3._w[(1, 2, 3)]: s[1] * s[2] * s[3] * v,
-    }
-    resid = Awd.nf(relation.substitute(sub))
+    resid = Awd.nf(relation.substitute(_sw_theta_map()))
     report.add(
         "specialization-well-defined",
         resid.is_zero(),
@@ -627,30 +606,18 @@ def conjecture_probe(
         "c0": str(c0), "c1": str(c1), "c2": str(c2), "c3": str(c3),
         "seed": seed, "trials": trials,
     })
-    vids = tuple(REGISTRY.var(n) for n in ("x", "y", "u", "v"))
-    A4 = QuotientRing(
-        vids,
-        [_quadric()],
-        order=degrevlex(vids, REGISTRY),
-        registry=REGISTRY,
-        label="A4",
-    )
-    x, y = _poly_var("x"), _poly_var("y")
+    A4 = cached_ring(_make_A4)
+    x, y = Poly.variable("x"), Poly.variable("y")
     _, M = _relation_matrix()
-    jgens = [
-        _poly_var("u"),
-        _poly_var("v"),
-        1 - x * x,
-        1 - y * y,
-    ]
+    jgens = SWRings.J_gens()
     wprime = c3 * x * y + c2 * y + c1 * x + Poly.const(c0, REGISTRY)
 
     def rand_poly():
         out = Poly.const(rng.randint(-max_coeff, max_coeff), REGISTRY)
-        for vid in vids:
+        for name in _QUADRIC_NAMES:
             c = rng.randint(-max_coeff, max_coeff)
             if c:
-                out = out + c * Poly._raw({((vid, 1),): 1}, REGISTRY)
+                out = out + c * Poly.variable(name)
         return out
 
     whole = 0

@@ -61,6 +61,20 @@ def _parse_words(text, names):
     return words
 
 
+def _deadline(args):
+    """The ``time.monotonic()`` value ``--timeout`` seconds from now, or None."""
+    return None if args.timeout is None else time.monotonic() + args.timeout
+
+
+def _check_lines(report):
+    """One PASS/FAIL line per check of a CheckReport."""
+    return [
+        f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}"
+        + (f": {c['detail']}" if c["detail"] else "")
+        for c in report.checks
+    ]
+
+
 def _emit(args, payload: dict, text_lines):
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -71,9 +85,8 @@ def _emit(args, payload: dict, text_lines):
 
 def _cmd_ring_describe(args) -> int:
     pres = _read_presentation(args)
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     try:
-        qr = quotient_ring_of_presentation(pres, deadline=deadline)
+        qr = quotient_ring_of_presentation(pres, deadline=_deadline(args))
     except GroebnerTimeout:
         payload = {"presentation": pres.render(), "verdict": "timeout"}
         _emit(args, payload, ["verdict: timeout"])
@@ -113,10 +126,9 @@ def _cmd_ideal(args) -> int:
 def _cmd_normalgen(args) -> int:
     pres = _read_presentation(args)
     words = _parse_words(args.words or "", pres.names)
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     try:
         verdict = normally_generates_check(
-            pres, words, use_hash=args.hash, deadline=deadline
+            pres, words, use_hash=args.hash, deadline=_deadline(args)
         ).value
     except GroebnerTimeout:
         verdict = "timeout"
@@ -137,9 +149,8 @@ def _cmd_normalgen(args) -> int:
 def _cmd_boyer(args) -> int:
     word = parse_word(args.word, ["g1", "g2"])
     inst = BoyerInstance(args.s, args.t, args.r, word)
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     try:
-        cert = boyer_certificate(inst, deadline=deadline)
+        cert = boyer_certificate(inst, deadline=_deadline(args))
     except GroebnerTimeout:
         payload = {"instance": inst.describe(), "verdict": "timeout"}
         _emit(args, payload, ["verdict: timeout"])
@@ -160,24 +171,15 @@ def _cmd_boyer(args) -> int:
 def _cmd_sw(args) -> int:
     if args.sw_command == "static-checks":
         report = sw_static_checks()
-        lines = [
-            f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}"
-            + (f": {c['detail']}" if c["detail"] else "")
-            for c in report.checks
-        ]
-        _emit(args, report.to_dict(), lines)
+        _emit(args, report.to_dict(), _check_lines(report))
         return EXIT_OK if report.ok else EXIT_ERROR
     if args.sw_command == "verify":
         word = parse_word(args.word, ["g1", "g2", "g3"])
         inst = SWInstance(args.r, args.s, args.t, word)
         report = sw_verify(
-            inst, check_properness=args.properness, timeout=args.timeout
+            inst, check_properness=args.properness, deadline=_deadline(args)
         )
-        lines = [
-            f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}"
-            + (f": {c['detail']}" if c["detail"] else "")
-            for c in report.checks
-        ]
+        lines = _check_lines(report)
         if report.properness is not None:
             lines.append(f"properness: {report.properness}")
             if report.properness == "proper":
@@ -251,6 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
+    presentation = argparse.ArgumentParser(add_help=False)
+    presentation.add_argument("--presentation", help="inline presentation text")
+    presentation.add_argument("--file", help="file containing the presentation")
+    timeout = argparse.ArgumentParser(add_help=False)
+    timeout.add_argument("--timeout", type=float, default=None, help="seconds")
 
     ap = argparse.ArgumentParser(
         prog="gring",
@@ -264,55 +271,53 @@ def build_parser() -> argparse.ArgumentParser:
     ring = sub.add_parser("ring", help="coordinate rings of presentations")
     ringsub = ring.add_subparsers(dest="ring_command", required=True)
     describe = ringsub.add_parser(
-        "describe", parents=[common], help="print ring and relations"
+        "describe",
+        parents=[common, presentation, timeout],
+        help="print ring and relations",
     )
-    describe.add_argument("--presentation", help="inline presentation text")
-    describe.add_argument("--file", help="file containing the presentation")
-    describe.add_argument("--timeout", type=float, default=None, help="seconds")
     describe.set_defaults(func=_cmd_ring_describe)
 
     ideal = sub.add_parser(
-        "ideal", parents=[common], help="obstruction ideal generators"
+        "ideal",
+        parents=[common, presentation],
+        help="obstruction ideal generators",
     )
     ideal.add_argument("kind", choices=["hash", "hashhash", "bullet"])
-    ideal.add_argument("--presentation", help="inline presentation text")
-    ideal.add_argument("--file", help="file containing the presentation")
     ideal.add_argument("--words", default="", help="comma-separated words")
     ideal.set_defaults(func=_cmd_ideal)
 
     ng = sub.add_parser(
-        "normalgen", parents=[common], help="normal-generation obstruction test"
+        "normalgen",
+        parents=[common, presentation, timeout],
+        help="normal-generation obstruction test",
     )
-    ng.add_argument("--presentation", help="inline presentation text")
-    ng.add_argument("--file", help="file containing the presentation")
     ng.add_argument("--words", required=True, help="candidate words, comma-separated")
     ng.add_argument(
         "--hash", action="store_true", help="compare full ideals instead"
     )
-    ng.add_argument("--timeout", type=float, default=None, help="seconds")
     ng.set_defaults(func=_cmd_normalgen)
 
     boyer = sub.add_parser(
-        "boyer", parents=[common], help="proper-power certificate for C_s*C_t"
+        "boyer",
+        parents=[common, timeout],
+        help="proper-power certificate for C_s*C_t",
     )
     boyer.add_argument("--s", type=int, required=True)
     boyer.add_argument("--t", type=int, required=True)
     boyer.add_argument("--r", type=int, required=True)
     boyer.add_argument("--word", required=True, help="word in g1, g2")
-    boyer.add_argument("--timeout", type=float, default=None, help="seconds")
     boyer.set_defaults(func=_cmd_boyer)
 
     sw = sub.add_parser("sw", help="single-element checks for C_r*C_s*C_t")
     swsub = sw.add_subparsers(dest="sw_command", required=True)
     verify = swsub.add_parser(
-        "verify", parents=[common], help="structural checks for one word"
+        "verify", parents=[common, timeout], help="structural checks for one word"
     )
     verify.add_argument("--r", type=int, required=True)
     verify.add_argument("--s", type=int, required=True)
     verify.add_argument("--t", type=int, required=True)
     verify.add_argument("--word", required=True, help="word in g1, g2, g3")
     verify.add_argument("--properness", action="store_true")
-    verify.add_argument("--timeout", type=float, default=None, help="seconds")
     verify.set_defaults(func=_cmd_sw)
     static = swsub.add_parser(
         "static-checks", parents=[common], help="instance-independent checks"

@@ -121,7 +121,7 @@ def buchberger(
     registry = order.registry
     gens = list(gens)
 
-    basis = []  # append-only: (lead_mono, monic dict, sugar, lead_key)
+    basis = []  # append-only: (lead_mono, monic dict, sugar)
     lead_mask = []  # parallel to basis: OR of 1 << vid over the lead
     lead_deg = []  # parallel to basis: total degree of the lead
     cofs = []  # with ``cofactor``, parallel to basis: cofactor of gens[-1]
@@ -159,13 +159,13 @@ def buchberger(
         for v, _ in lm:
             mask_k |= 1 << v
         deg_k = kernel.mono_deg(lm)
-        basis.append((lm, d, sugar_k, key_k))
+        basis.append((lm, d, sugar_k))
         lead_mask.append(mask_k)
         lead_deg.append(deg_k)
         for i in range(k):
             if not lead_mask[i] & mask_k:
                 continue  # product criterion: the S-pair reduces to zero
-            lmi, _, sugar_i, _ = basis[i]
+            lmi, _, sugar_i = basis[i]
             lcm = kernel.mono_lcm(lmi, lm)
             dl = kernel.mono_deg(lcm)
             sug = max(sugar_i + dl - lead_deg[i], sugar_k + dl - deg_k)
@@ -214,8 +214,8 @@ def buchberger(
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lmi, di, _, _ = basis[i]
-        lmj, dj, _, _ = basis[j]
+        lmi, di, _ = basis[i]
+        lmj, dj, _ = basis[j]
         # chain criterion: skip the pair when some other lead t divides
         # lcm(lmi, lmj) and neither (i, t) nor (j, t) is still pending.
         # A lead with a variable outside the lcm's support, or of higher
@@ -260,29 +260,18 @@ def buchberger(
         if r and add_element(r, cof):
             return unit_basis()
 
-    # The surviving reducers are a minimal basis; tail-reduce to make the
-    # result canonical.  Leads are pairwise non-divisible, so reduction
-    # never touches a lead and the elements stay monic and nonzero.
-    final = []
+    # The surviving reducers are a minimal basis, sorted by ascending lead;
+    # tail-reduce them in that order to make the result canonical.  A lead
+    # dividing a tail term lies below the element's own lead, so the
+    # elements already finished are all a tail needs.  Leads are pairwise
+    # non-divisible, so the elements stay monic and nonzero.
+    final = []  # (lead, reduced tail), the reducer list of later tails
+    polys = []
     for _, lm, tail, _ in reducers:
-        d = dict(tail)
-        d[lm] = (1, 1)
-        final.append((lm, d))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(final)):
-            others = [
-                (lm, {m: c for m, c in d.items() if m != lm})
-                for j, (lm, d) in enumerate(final)
-                if j != i
-            ]
-            r = kernel.reduce_nd(final[i][1], others, slots, width)
-            if r != final[i][1]:
-                changed = True
-                final[i] = (final[i][0], r)
-    polys = [
-        Poly._raw(kernel.nd_to_frac(d), registry) for _, d in final
-    ]
-    polys.sort(key=lambda p: order.key(order.leading(p)[0]))
+        if final:
+            tail = kernel.reduce_nd(tail, final, slots, width)
+        final.append((lm, tail))
+        polys.append(
+            Poly._raw(kernel.nd_to_frac({lm: (1, 1), **tail}), registry)
+        )
     return GroebnerBasis(polys, order)

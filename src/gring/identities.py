@@ -9,12 +9,12 @@ the underlying algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .agmod import AElem, bar, bracket, dot, embed_word, power_bar, triple, vec
 from .poly import Poly, chebyshev_like
 from .ring import build_KF
-from .words import Word
+from .words import Word, random_word
 
 
 @dataclass
@@ -28,74 +28,40 @@ class IdentityResult:
         return not self.failures
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "ok": self.ok,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 class _Ctx:
     def __init__(self, seed, n, pool_size, max_len):
         self.rng = random.Random(seed)
         self.ring = build_KF(n)
-        self.n = n
-        self.words = []
-        for _ in range(pool_size):
-            length = self.rng.randint(0, max_len)
-            sylls = [
-                (self.rng.randint(1, n), self.rng.choice((1, -1)))
-                for _ in range(length)
-            ]
-            self.words.append(Word.from_syllables(sylls))
-        self.elems = [embed_word(self.ring, w) for w in self.words]
-        self.lambdas = [e.vector_part() for e in self.elems]
-        self.scalars = [e.bar() for e in self.elems]
+        self.words = [
+            random_word(self.rng, n, max_len) for _ in range(pool_size)
+        ]
+        elems = [embed_word(self.ring, w) for w in self.words]
+        self.lambdas = [e.vector_part() for e in elems]
+        self.scalars = [e.bar() for e in elems]
         self.short_words = [w for w in self.words if w.length() <= 3]
         if not self.short_words:
             self.short_words = [Word.identity()]
 
-    def pick_words(self, k):
-        return [self.rng.choice(self.words) for _ in range(k)]
-
     def pick_short_word(self):
         return self.rng.choice(self.short_words)
-
-    def pick_elems(self, k):
-        return [self.rng.choice(self.elems) for _ in range(k)]
-
-    def pick_lambdas(self, k):
-        return [self.rng.choice(self.lambdas) for _ in range(k)]
 
     def pick_scalar(self):
         return self.rng.choice(self.scalars)
 
 
-def _word_check(name, samples, words_needed, fn):
-    def run(ctx: _Ctx) -> IdentityResult:
-        res = IdentityResult(name)
-        for _ in range(samples):
-            ws = ctx.pick_words(words_needed)
-            res.samples += 1
-            if not fn(ctx, *ws):
-                res.failures.append([w.render() for w in ws])
-        return res
-
-    return run
-
-
-def _lambda_check(name, samples, count, fn):
-    def run(ctx: _Ctx) -> IdentityResult:
-        res = IdentityResult(name)
-        for _ in range(samples):
-            xs = ctx.pick_lambdas(count)
-            res.samples += 1
-            if not fn(ctx, *xs):
-                res.failures.append([x.render() for x in xs])
-        return res
-
-    return run
+def _run_check(ctx: _Ctx, name, pool, samples, count, fn) -> IdentityResult:
+    """Check ``fn`` on ``samples`` draws of ``count`` arguments, each drawn
+    from the context's ``pool`` ("words" or "lambdas")."""
+    items = getattr(ctx, pool)
+    res = IdentityResult(name, samples)
+    for _ in range(samples):
+        xs = [ctx.rng.choice(items) for _ in range(count)]
+        if not fn(ctx, *xs):
+            res.failures.append([x.render() for x in xs])
+    return res
 
 
 # -- word-level identities ----------------------------------------------
@@ -356,51 +322,34 @@ def _unit_element(ctx, wx):
     return x * one == x and one * x == x
 
 
+# name, pool, samples, arguments per sample, identity
 SUITE = [
-    ("bar-commutes", _word_check("bar-commutes", 25, 2, _bar_commutes)),
-    ("bar-three-term", _word_check("bar-three-term", 12, 3, _bar_three_term)),
-    ("bar-of-inverse", _word_check("bar-of-inverse", 25, 1, _bar_of_inverse)),
-    ("embed-inverse", _word_check("embed-inverse", 25, 1, _embed_inverse_is_unit)),
-    ("unit-element", _word_check("unit-element", 25, 1, _unit_element)),
-    ("associativity", _word_check("associativity", 8, 3, _associativity)),
-    ("mul-decomposition", _word_check("mul-decomposition", 12, 2, _mul_decomposition)),
-    ("dot-via-bar", _word_check("dot-via-bar", 15, 2, _dot_via_bar)),
-    (
-        "bar-symmetrized-triple",
-        _word_check("bar-symmetrized-triple", 10, 3, _bar_symmetrized_triple),
-    ),
-    ("commutator-bar", _word_check("commutator-bar", 10, 2, _commutator_bar)),
-    ("power-reduction", _word_check("power-reduction", 10, 2, _power_reduction)),
-    ("power-difference", _word_check("power-difference", 8, 1, _power_difference)),
-    ("dot-symmetric", _lambda_check("dot-symmetric", 15, 2, _dot_symmetric)),
-    ("bracket-skew", _lambda_check("bracket-skew", 15, 2, _bracket_skew)),
-    ("bilinearity", _lambda_check("bilinearity", 10, 3, _bilinearity)),
-    ("jacobi", _lambda_check("jacobi", 10, 3, _jacobi)),
-    ("triple-alternating", _lambda_check("triple-alternating", 10, 3, _triple_alternating)),
-    (
-        "triple-bracket-expansion",
-        _lambda_check("triple-bracket-expansion", 10, 3, _triple_bracket_expansion),
-    ),
-    (
-        "product-expansions",
-        _lambda_check("product-expansions", 6, 4, _lambda_product_expansions),
-    ),
-    ("cyclic-triple", _lambda_check("cyclic-triple", 10, 3, _cyclic_triple)),
-    ("dot-of-brackets", _lambda_check("dot-of-brackets", 8, 4, _dot_of_brackets)),
-    (
-        "bracket-of-brackets",
-        _lambda_check("bracket-of-brackets", 6, 4, _bracket_of_brackets),
-    ),
-    (
-        "quadruple-expansion",
-        _lambda_check("quadruple-expansion", 8, 4, _quadruple_expansion),
-    ),
-    ("five-term-scalar", _lambda_check("five-term-scalar", 6, 5, _five_term_scalar)),
-    (
-        "triple-product-determinant",
-        _lambda_check("triple-product-determinant", 4, 6, _triple_product_determinant),
-    ),
-    ("gram-rank-bound", _lambda_check("gram-rank-bound", 3, 8, _gram_rank_bound)),
+    ("bar-commutes", "words", 25, 2, _bar_commutes),
+    ("bar-three-term", "words", 12, 3, _bar_three_term),
+    ("bar-of-inverse", "words", 25, 1, _bar_of_inverse),
+    ("embed-inverse", "words", 25, 1, _embed_inverse_is_unit),
+    ("unit-element", "words", 25, 1, _unit_element),
+    ("associativity", "words", 8, 3, _associativity),
+    ("mul-decomposition", "words", 12, 2, _mul_decomposition),
+    ("dot-via-bar", "words", 15, 2, _dot_via_bar),
+    ("bar-symmetrized-triple", "words", 10, 3, _bar_symmetrized_triple),
+    ("commutator-bar", "words", 10, 2, _commutator_bar),
+    ("power-reduction", "words", 10, 2, _power_reduction),
+    ("power-difference", "words", 8, 1, _power_difference),
+    ("dot-symmetric", "lambdas", 15, 2, _dot_symmetric),
+    ("bracket-skew", "lambdas", 15, 2, _bracket_skew),
+    ("bilinearity", "lambdas", 10, 3, _bilinearity),
+    ("jacobi", "lambdas", 10, 3, _jacobi),
+    ("triple-alternating", "lambdas", 10, 3, _triple_alternating),
+    ("triple-bracket-expansion", "lambdas", 10, 3, _triple_bracket_expansion),
+    ("product-expansions", "lambdas", 6, 4, _lambda_product_expansions),
+    ("cyclic-triple", "lambdas", 10, 3, _cyclic_triple),
+    ("dot-of-brackets", "lambdas", 8, 4, _dot_of_brackets),
+    ("bracket-of-brackets", "lambdas", 6, 4, _bracket_of_brackets),
+    ("quadruple-expansion", "lambdas", 8, 4, _quadruple_expansion),
+    ("five-term-scalar", "lambdas", 6, 5, _five_term_scalar),
+    ("triple-product-determinant", "lambdas", 4, 6, _triple_product_determinant),
+    ("gram-rank-bound", "lambdas", 3, 8, _gram_rank_bound),
 ]
 
 
@@ -409,4 +358,4 @@ def run_identity_suite(
 ):
     """Run every identity check against a seeded random element pool."""
     ctx = _Ctx(seed, n, pool_size, max_len)
-    return [run(ctx) for _, run in SUITE]
+    return [_run_check(ctx, *check) for check in SUITE]

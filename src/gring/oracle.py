@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .agmod import embed_word
 from .errors import ForeignVariable, GringError
 from .poly import Poly
 from .ring import KFRing, build_KF
-from .words import Word
+from .words import Word, random_word
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,6 @@ def random_point(rng: random.Random, n: int, height: int = 8) -> EvalPoint:
     return EvalPoint(quats)
 
 
-def random_word(rng: random.Random, n: int, max_len: int) -> Word:
-    length = rng.randint(0, max_len)
-    sylls = [
-        (rng.randint(1, n), rng.choice((1, -1))) for _ in range(length)
-    ]
-    return Word.from_syllables(sylls)
-
-
 @dataclass
 class FuzzReport:
     trials: int
@@ -188,15 +180,7 @@ class FuzzReport:
         return not self.mismatches
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_word_length": self.max_word_length,
-            "generators": self.generators,
-            "seed": self.seed,
-            "height": self.height,
-            "mismatches": self.mismatches,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

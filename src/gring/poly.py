@@ -141,11 +141,6 @@ class Poly:
                 seen.add(vid)
         return sorted(seen)
 
-    def total_degree(self):
-        if not self._t:
-            return NEG_INF
-        return max(kernel.mono_deg(m) for m in self._t)
-
     def degree_in(self, v):
         """Largest exponent of ``v`` (a name or id); -inf for the zero poly."""
         vid = self.registry.lookup(v) if isinstance(v, str) else v
@@ -342,9 +337,6 @@ class MonomialOrder:
             raise ForeignVariable(
                 f"variable {name!r} is not part of this monomial order"
             ) from None
-
-    def sorted_terms(self, p: Poly):
-        return sorted(p.terms(), key=lambda kv: self.key(kv[0]), reverse=True)
 
     def leading(self, p: Poly):
         """(monomial, coefficient) of the leading term; p must be nonzero."""

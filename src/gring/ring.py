@@ -17,14 +17,7 @@ from itertools import combinations, product
 from .errors import ForeignVariable, NotAUnit
 from . import groebner
 from .groebner import GroebnerBasis, buchberger
-from .poly import (
-    REGISTRY,
-    MonomialOrder,
-    Poly,
-    VariableRegistry,
-    block_order,
-    degrevlex,
-)
+from .poly import REGISTRY, Poly, block_order, degrevlex
 
 
 def _perm_sign(seq):
@@ -57,10 +50,6 @@ class QuotientRing:
         )
         self.label = label
         self.gb = buchberger(list(relations), self.order, deadline=deadline)
-
-    @property
-    def relation_polys(self):
-        return self.gb.polys
 
     def var_names(self):
         return [self.registry.name(v) for v in self.vids]

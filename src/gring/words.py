@@ -8,6 +8,7 @@ high powers like ``g1^50`` compact.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 
@@ -110,6 +111,15 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.render()!r})"
+
+
+def random_word(rng: random.Random, n: int, max_len: int) -> Word:
+    """Word of 0 to ``max_len`` random letters in generators 1..n, reduced."""
+    length = rng.randint(0, max_len)
+    sylls = [
+        (rng.randint(1, n), rng.choice((1, -1))) for _ in range(length)
+    ]
+    return Word.from_syllables(sylls)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,9 @@ def test_criterion_6_properness():
     for text in words:
         w = parse_word(text, ["g1", "g2", "g3"])
         rep = sw_verify(
-            SWInstance(2, 3, 5, w), check_properness=True, timeout=900
+            SWInstance(2, 3, 5, w),
+            check_properness=True,
+            deadline=time.monotonic() + 900,
         )
         outcomes.append((text, rep.properness))
     elapsed = time.time() - t0

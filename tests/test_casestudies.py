@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,7 +218,9 @@ def test_sw_verify_random_words():
 
 def test_sw_properness_for_product_word():
     rep = sw_verify(
-        SWInstance(2, 3, 5, W3("g1*g2*g3")), check_properness=True, timeout=900
+        SWInstance(2, 3, 5, W3("g1*g2*g3")),
+        check_properness=True,
+        deadline=time.monotonic() + 900,
     )
     assert rep.properness == "proper"
 

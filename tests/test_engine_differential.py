@@ -2,10 +2,13 @@
 
 ``reference_buchberger`` below is a frozen copy of ``groebner.buchberger``
 as it was before the chain criterion got its support-bitmask and degree
-prefilter: it tests every lead with ``mono_div``.  The prefilter only skips
+prefilter: it tests every lead with ``mono_div``, and it finishes the basis
+by interreducing until nothing changes.  The prefilter only skips
 divisibility tests that would fail, so on every input both engines must
-return the same reduced basis and reduce the same pairs, counted as calls
-of ``kernel.reduce_nd``.
+return the same reduced basis and reduce the same pairs.  Pairs reduced
+are counted as calls of ``kernel.reduce_nd`` before the finish: the
+engine's one-pass finish makes one call per element after the first, and
+the reference's fixpoint loop makes at least two passes.
 
 Inputs are recorded from the ring constructions and ideal bases gring
 builds: the properness ideals of ``sw_elements`` in A(r,s,t), the relation
@@ -26,8 +29,9 @@ from gring.poly import Poly
 from gring.words import Word
 
 
-def reference_buchberger(gens, order):
-    """The engine before the support-bitmask prefilter (frozen copy)."""
+def reference_buchberger(gens, order, finish_started=lambda: None):
+    """The engine before the support-bitmask prefilter (frozen copy);
+    ``finish_started`` is called where the interreduction begins."""
     slots, width = order.slots, order.width
     registry = order.registry
 
@@ -120,6 +124,7 @@ def reference_buchberger(gens, order):
     # The surviving reducers are a minimal basis; tail-reduce to make the
     # result canonical.  Leads are pairwise non-divisible, so reduction
     # never touches a lead and the elements stay monic and nonzero.
+    finish_started()
     final = []
     for _, lm, tail in reducers:
         d = dict(tail)
@@ -145,12 +150,6 @@ def reference_buchberger(gens, order):
     return GroebnerBasis(polys, order)
 
 
-def _run(engine, gens, order, counter):
-    before = counter[0]
-    polys = engine(gens, order).polys
-    return polys, counter[0] - before
-
-
 @pytest.fixture
 def recorded(monkeypatch):
     """Count ``kernel.reduce_nd`` calls and record every basis computed
@@ -166,8 +165,9 @@ def recorded(monkeypatch):
 
     def recording_buchberger(gens, order, deadline=None):
         gens = list(gens)
-        polys, calls = _run(buchberger, gens, order, counter)
-        records.append((gens, order, polys, calls))
+        before = counter[0]
+        polys = buchberger(gens, order).polys
+        records.append((gens, order, polys, counter[0] - before))
         return GroebnerBasis(polys, order)
 
     monkeypatch.setattr(kernel, "reduce_nd", counting_reduce)
@@ -178,9 +178,14 @@ def recorded(monkeypatch):
 def _assert_same_as_reference(records, counter):
     assert records
     for gens, order, polys, calls in records:
-        ref_polys, ref_calls = _run(reference_buchberger, gens, order, counter)
+        before = counter[0]
+        finish = []
+        ref_polys = reference_buchberger(
+            gens, order, lambda: finish.append(counter[0])
+        ).polys
         assert polys == ref_polys
-        assert calls == ref_calls
+        # pairs reduced: the calls before the finish
+        assert calls - max(len(polys) - 1, 0) == finish[0] - before
 
 
 def _word(rng, n, length):
