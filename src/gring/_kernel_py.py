@@ -1,18 +1,150 @@
 """Pure-Python kernel for the hot polynomial loops.
 
-Monomials are tuples of ``(variable_id, exponent)`` pairs sorted by id with
-strictly positive exponents; polynomials at this level are plain dicts
-mapping monomial to coefficient.
+Polynomial arithmetic works on tuple monomials: tuples of
+``(variable_id, exponent)`` pairs sorted by id with strictly positive
+exponents; polynomials at this level are plain dicts mapping monomial to
+coefficient.  Order data for tuple keys comes in as ``slots`` (dict:
+variable id -> (degree_slot, exponent_slot) in a flat key vector) plus the
+key ``width``; bigger key = bigger monomial.
 
-Order data comes in as ``slots`` (dict: variable id -> (degree_slot,
-exponent_slot) in a flat key vector) plus the key ``width``.  Keys compare
-so that bigger key = bigger monomial; the heap-based reduction loops use
-negated keys with ``heapq``.
+Reduction works on packed monomials: one Python int per monomial, laid out
+by a ``Packing`` for one block order.  The int is a row of ``bits``-wide
+fields, two per variable; the top bit of each field is a guard bit that a
+valid monomial leaves clear.  The low half holds the exponents: each block
+``v_1..v_k`` has ``k`` adjacent fields with ``e_1`` lowest, and the
+leftmost block lies highest.  The high half holds the order key in the
+same block layout: the prefix sums ``P_i = e_1 + ... + e_i``, so that
+``P_k``, the block degree, is each block's most significant field.
+Degrevlex in a block compares the degree, then prefers the smaller
+``e_k``, then the smaller ``e_{k-1}``..., which is comparing ``P_k,
+P_{k-1}, ...`` in turn; so ``<`` on the ints is the block order.  Every
+field is linear in the exponents, hence:
+
+* the product of ``a`` and ``b`` is ``a + b``; a field passing its guard
+  bit raises ``FieldOverflow`` and the caller repacks wider;
+* with ``G`` the mask of all guard bits, ``l`` divides ``m`` exactly when
+  ``((m | G) - l) & G == G`` (no field of ``m`` is below ``l``'s, and the
+  prefix sums follow the exponents), and then ``m / l`` is ``m - l``;
+* the lcm takes the fieldwise maximum of the exponent fields with the same
+  guard-bit trick, and rebuilds each block's key with one multiplication
+  by ``1 + 2^bits + 2^(2 bits) + ...``, which sums the prefixes.
+
+Coefficients in the reduction loops are normalized ``(num, den)`` pairs.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+
+
+class FieldOverflow(ArithmeticError):
+    """A packed field passed its guard bit; the packing must get wider."""
+
+
+class Packing:
+    """Packed-integer monomials of one block order at one field width."""
+
+    __slots__ = (
+        "bits",
+        "guard",
+        "_fmask",
+        "_unit",
+        "_fields",
+        "_blocks",
+        "_degs",
+        "_exp_mask",
+        "_exp_guard",
+    )
+
+    def __init__(self, blocks, bits):
+        n = sum(len(b) for b in blocks)
+        ebits = n * bits
+        self.bits = bits
+        self._fmask = (1 << bits) - 1
+        ones = sum(1 << (f * bits) for f in range(2 * n))
+        self.guard = (1 << (bits - 1)) * ones
+        self._exp_mask = (1 << ebits) - 1
+        self._exp_guard = self.guard & self._exp_mask
+        self._blocks = []  # (shift, mask, prefix-sum multiplier, key shift)
+        self._degs = []  # bit offset of each block's degree field
+        fields = []  # (vid, bit offset of its exponent field)
+        shift = 0
+        for b in reversed(blocks):  # the leftmost block ends up on top
+            size = len(b)
+            rep = sum(1 << (i * bits) for i in range(size))
+            mask = (1 << (size * bits)) - 1
+            self._blocks.append((shift, mask, rep, shift + ebits))
+            self._degs.append(shift + ebits + (size - 1) * bits)
+            fields.extend((vid, shift + i * bits) for i, vid in enumerate(b))
+            shift += size * bits
+        self._fields = sorted(fields)
+        self._unit = {vid: self._with_key(1 << s) for vid, s in fields}
+
+    def _with_key(self, e):
+        """Exponent fields ``e`` plus the order key they determine."""
+        for shift, mask, rep, kshift in self._blocks:
+            e |= ((e >> shift & mask) * rep & mask) << kshift
+        return e
+
+    def pack_nd(self, terms):
+        """Packed (num, den) pair dict of a coefficient dict, and a map from
+        each packed monomial back to its tuple.
+
+        Raises KeyError with the id of a variable outside the order, and
+        FieldOverflow when a block degree does not fit.  The guard bits
+        tell that exactly while no field carries into the next, which holds
+        below a total degree of ``2^bits``.
+        """
+        unit, guard, limit = self._unit, self.guard, self._fmask + 1
+        nd = {}
+        known = {}
+        for m, c in terms.items():
+            x = d = 0
+            for v, e in m:
+                x += e * unit[v]
+                d += e
+            if d >= limit or x & guard:
+                raise FieldOverflow
+            nd[x] = (c.numerator, c.denominator)
+            known[x] = m
+        return nd, known
+
+    def unpack(self, x):
+        """Tuple monomial of the packed ``x``."""
+        fmask = self._fmask
+        return tuple([(v, e) for v, s in self._fields if (e := x >> s & fmask)])
+
+    def to_frac(self, nd, known=None):
+        """Coefficient dict (tuple monomials, ``int`` when den is 1) of a
+        packed (num, den) dict; monomials found in ``known`` are reused."""
+        known = known or {}
+        unpack = self.unpack
+        out = {}
+        for x, (n, d) in nd.items():
+            m = known.get(x)
+            out[unpack(x) if m is None else m] = n if d == 1 else Fraction(n, d)
+        return out
+
+    def lcm(self, a, b):
+        """lcm of the packed ``a`` and ``b``; FieldOverflow if it does not
+        fit."""
+        em, g = self._exp_mask, self._exp_guard
+        ea = a & em
+        eb = b & em
+        ge = ((ea | g) - eb) & g  # guard bits of the fields where ea >= eb
+        sel = ge - (ge >> (self.bits - 1))
+        x = self._with_key((ea & sel) | (eb & ~sel))
+        if x & self.guard:
+            raise FieldOverflow
+        return x
+
+    def degree(self, x):
+        """Total degree of the packed ``x``."""
+        fmask = self._fmask
+        d = 0
+        for s in self._degs:
+            d += x >> s & fmask
+        return d
 
 
 def mono_mul(a, b):
@@ -91,21 +223,6 @@ def mono_lcm(a, b):
     return tuple(out)
 
 
-def mono_coprime(a, b):
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va = a[i][0]
-        vb = b[j][0]
-        if va == vb:
-            return False
-        if va < vb:
-            i += 1
-        else:
-            j += 1
-    return True
-
-
 def mono_deg(a):
     d = 0
     for _, e in a:
@@ -120,15 +237,6 @@ def mono_key(m, slots, width):
         ds, es = slots[vid]
         k[ds] += e
         k[es] = -e
-    return tuple(k)
-
-
-def mono_neg_key(m, slots, width):
-    k = [0] * width
-    for vid, e in m:
-        ds, es = slots[vid]
-        k[ds] -= e
-        k[es] = e
     return tuple(k)
 
 
@@ -170,16 +278,6 @@ def poly_scale(p, c):
     if not c:
         return {}
     return {m: v * c for m, v in p.items()}
-
-
-def nd_from_frac(p):
-    """Exact-rational coefficient dict -> normalized (num, den) pair dict."""
-    return {m: (c.numerator, c.denominator) for m, c in p.items()}
-
-
-def nd_to_frac(p):
-    """(num, den) pair dict -> coefficient dict: ``int`` when den is 1."""
-    return {m: n if d == 1 else Fraction(n, d) for m, (n, d) in p.items()}
 
 
 def nd_scale(p, sn, sd):
@@ -232,81 +330,73 @@ def _nd_isub(acc, q):
         acc[m] = (num, den)
 
 
-def _nd_term_mul(p, mono, cn, cd):
-    """(cn/cd) * mono * p on (num, den) pair dicts."""
+def nd_shift(p, q, guard):
+    """x^q * p on a packed (num, den) pair dict."""
     out = {}
-    for m, (tn, td) in p.items():
-        g1 = gcd(cn, td)
-        g2 = gcd(tn, cd)
-        out[mono_mul(m, mono)] = ((cn // g1) * (tn // g2), (cd // g2) * (td // g1))
+    for m, c in p.items():
+        m += q
+        if m & guard:
+            raise FieldOverflow
+        out[m] = c
     return out
 
 
-def reduce_nd(p, reducers, slots, width, cofactor=None):
-    """Full normal form over normalized (num, den) integer pairs.
+def reduce_nd(p, reducers, guard, cofactor=None):
+    """Full normal form of a packed (num, den) pair dict.
 
-    ``reducers`` is a list of ``(lead_monomial, tail_dict)`` pairs with
-    leading coefficient 1 (the lead excluded from the tail), sorted by
-    ascending lead; the first divisor in list order wins, making the
-    reduction deterministic.  A divisor's lead never exceeds the term it
+    ``reducers`` is a list of ``(lead, tail_dict)`` pairs of packed
+    monomials with leading coefficient 1 (the lead excluded from the tail),
+    sorted by ascending lead; the first divisor in list order wins, making
+    the reduction deterministic.  A divisor's lead never exceeds the term it
     divides, so the scan stops at the first reducer ordered above the
-    current term.
+    current term.  ``guard`` is the packing's guard mask.
 
     ``cofactor``, when given, is a pair ``(cof, reducer_cofs)``: the
-    cofactor dict of ``p`` and one cofactor dict per reducer.  Each step
-    that subtracts ``c * x^q`` times a reducer subtracts the same multiple
-    of its cofactor from ``cof``, in place.
+    cofactor dict of ``p`` and a dict from each reducer's lead to its
+    cofactor dict.  Each step that subtracts ``c * x^q`` times a reducer
+    subtracts the same multiple of its cofactor from ``cof``, in place.
     """
     work = dict(p)
     out = {}
     if not work:
         return out
     cof, reducer_cofs = cofactor if cofactor is not None else (None, None)
-    red_neg_keys = [mono_neg_key(lm, slots, width) for lm, _ in reducers]
-    cache = {}
-    heap = []
-    for m in work:
-        k = mono_neg_key(m, slots, width)
-        cache[m] = k
-        heap.append((k, m))
+    heap = [-m for m in work]  # heapq is a min-heap: negated monomials
     heapify(heap)
     while heap:
-        nk, m = heappop(heap)
-        c = work.get(m)
+        m = -heappop(heap)
+        c = work.pop(m, None)
         if c is None:
             continue
-        quotient = None
         tail = None
-        for idx, (lm, t) in enumerate(reducers):
-            if red_neg_keys[idx] < nk:
+        mg = m | guard
+        for lm, t in reducers:
+            if lm > m:
                 break  # this and all later leads are bigger than m
-            q = mono_div(m, lm)
-            if q is not None:
-                quotient = q
+            if (mg - lm) & guard == guard:
                 tail = t
                 break
-        del work[m]
-        if quotient is None:
+        if tail is None:
             out[m] = c
             continue
+        q = m - lm
         cn, cd = c
         if cof is not None:
-            _nd_isub(cof, _nd_term_mul(reducer_cofs[idx], quotient, cn, cd))
-        for tm, tc in tail.items():
-            nm = mono_mul(tm, quotient)
-            tn, td = tc
+            _nd_isub(cof, nd_scale(nd_shift(reducer_cofs[lm], q, guard), cn, cd))
+        for tm, (tn, td) in tail.items():
+            nm = tm + q
             g1 = gcd(cn, td)
             g2 = gcd(tn, cd)
             dn = (cn // g1) * (tn // g2)  # delta = c*t; subtracted below
             dd = (cd // g2) * (td // g1)
             prev = work.get(nm)
             if prev is None:
+                # an overflowed product has a guard bit set, so it is
+                # never already present: checking new terms is enough
+                if nm & guard:
+                    raise FieldOverflow
                 work[nm] = (-dn, dd)
-                k = cache.get(nm)
-                if k is None:
-                    k = mono_neg_key(nm, slots, width)
-                    cache[nm] = k
-                heappush(heap, (k, nm))
+                heappush(heap, -nm)
             else:
                 pn, pd = prev
                 g = gcd(pd, dd)

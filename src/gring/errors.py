@@ -51,7 +51,14 @@ class FormCheckFailed(GringError):
 
 
 class GroebnerTimeout(GringError):
-    """A Groebner-basis computation exceeded its deadline."""
+    """A Groebner-basis computation exceeded its deadline.
+
+    ``stats`` holds the engine's counters so far (see ``GroebnerBasis``).
+    """
+
+    def __init__(self, message, stats=None):
+        super().__init__(message)
+        self.stats = dict(stats or {})
 
 
 class InvalidInstance(GringError):

@@ -5,16 +5,25 @@ pruned and sorted by leading monomial, and candidate pairs are filtered by
 the product and chain criteria.  Coefficients stay exact, so equality of
 ideals and normal forms are exact statements.
 
-Divisibility tests between leading monomials are prefiltered.  Next to
-each basis element the engine keeps its lead's support bitmask (the OR of
+Inside the engine every monomial is one packed Python int (the layout is
+described in ``kernel``): a product is ``a + b``, the monomial order is
+``<`` on the ints, a lead ``l`` divides ``m`` exactly when
+``((m | G) - l) & G == G`` for the packing's guard mask ``G``, and the
+quotient is then ``m - l``.  The pair heap is keyed on the packed lcm
+itself.  Input polynomials are packed on entry and results unpacked on
+exit, so ``Poly`` and every caller keep tuple monomials.  A product whose
+degree outgrows the packing's fields raises ``kernel.FieldOverflow``; the
+order then repacks wider and the computation starts over, so an overflow
+never gives a wrong result.
+
+Divisibility tests in the chain criterion are prefiltered.  Next to each
+basis element the engine keeps its lead's support bitmask (the OR of
 ``1 << vid`` over its variables) and total degree.  A lead ``t`` can only
 divide ``m`` when its mask has no bit outside ``m``'s mask and its degree
 is at most ``m``'s (the "short exponent vector" of Bachmann & Schoenemann,
-ISSAC '98).  The chain-criterion scan and the retiring of reducers apply
-that test first and compare exponents only for the leads that pass, so
-they take the same decisions as a plain divisibility test, at a fraction
-of its cost.  The lcm of a pair is built as a tuple only for pairs that
-survive the chain criterion.
+ISSAC '98).  The chain-criterion scan applies that test first and the
+guard-bit test only to the leads that pass, which is faster than the
+guard-bit test alone.
 
 Unit certificates come from the same engine.  With ``cofactor=True`` each
 element also carries its cofactor of the last generator, the only one an
@@ -34,42 +43,63 @@ from . import kernel
 from .errors import GroebnerTimeout
 from .poly import MonomialOrder, Poly
 
+#: Counters of one ``buchberger`` run, in ``GroebnerBasis.stats``: pairs
+#: formed (each element with each earlier one), pairs dropped by the
+#: product and by the chain criterion, generators and S-polynomials reduced
+#: by ``kernel.reduce_nd`` and those that reduced to zero, elements added
+#: (retired ones included), and the final interreduction's reductions.
+STATS = (
+    "pairs",
+    "product_skipped",
+    "chain_skipped",
+    "reduced",
+    "reduced_to_zero",
+    "elements_added",
+    "finish_reductions",
+)
+
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic, pairwise tail-reduced, sorted."""
 
-    __slots__ = ("polys", "order", "cofactor", "_nd_reducers")
+    __slots__ = ("polys", "order", "cofactor", "stats", "_packed")
 
-    def __init__(self, polys, order: MonomialOrder):
+    def __init__(self, polys, order: MonomialOrder, stats=None):
         self.polys = tuple(polys)
         self.order = order
         self.cofactor = None  # set by buchberger(..., cofactor=True)
-        self._nd_reducers = None
+        self.stats = dict(stats or {})  # buchberger's counters, see STATS
+        self._packed = None  # (packing, reducers packed with it)
 
-    def _reducers(self):
-        if self._nd_reducers is None:
+    def _reducers(self, packing):
+        """The basis as ``kernel.reduce_nd`` reducers in ``packing``."""
+        if self._packed is None or self._packed[0] is not packing:
             reds = []
             for p in self.polys:
-                lm, lc = self.order.leading(p)
-                assert lc == 1
-                tail = kernel.nd_from_frac(p._t)
-                del tail[lm]
-                reds.append((lm, tail))
-            self._nd_reducers = reds
-        return self._nd_reducers
+                d, _ = packing.pack_nd(p._t)
+                lm = max(d)
+                assert d[lm] == (1, 1)
+                del d[lm]
+                reds.append((lm, d))
+            self._packed = (packing, reds)
+        return self._packed[1]
 
     def normal_form(self, p: Poly) -> Poly:
-        """Unique remainder of p; zero iff p lies in the ideal."""
+        """Unique remainder of p; zero iff p lies in the ideal.
+
+        Raises ForeignVariable when p has a variable outside the order and
+        the basis is not empty; the zero ideal leaves every p alone.
+        """
         if not self.polys or p.is_zero():
             return p
-        order = self.order
-        r = kernel.reduce_nd(
-            kernel.nd_from_frac(p._t),
-            self._reducers(),
-            order.slots,
-            order.width,
-        )
-        return Poly._raw(kernel.nd_to_frac(r), p.registry)
+
+        def run(packing):
+            d, known = self.order.pack_nd(p._t)
+            r = kernel.reduce_nd(d, self._reducers(packing), packing.guard)
+            # terms the reduction left alone keep their tuple monomials
+            return Poly._raw(packing.to_frac(r, known), p.registry)
+
+        return self.order.repacking(run)
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -108,7 +138,9 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     ``deadline`` is an optional ``time.monotonic()`` value; exceeding it
-    raises GroebnerTimeout.  The zero ideal yields an empty basis.
+    raises GroebnerTimeout, which carries the counters so far.  The zero
+    ideal yields an empty basis.  The basis's ``stats`` holds the run's
+    counters (see ``STATS``).
 
     With ``cofactor`` set, every element also carries its cofactor of the
     last generator: a polynomial c with element = c * gens[-1] modulo the
@@ -117,100 +149,111 @@ def buchberger(
     modulo the other generators.  Without a constant it returns the
     reduced basis with ``cofactor`` None.
     """
-    slots, width = order.slots, order.width
-    registry = order.registry
     gens = list(gens)
+    return order.repacking(
+        lambda packing: _buchberger(gens, order, packing, deadline, cofactor)
+    )
 
-    basis = []  # append-only: (lead_mono, monic dict, sugar)
+
+def _buchberger(gens, order, packing, deadline, cofactor):
+    """One run of ``buchberger`` with monomials packed by ``packing``."""
+    registry = order.registry
+    guard, lcm_of, degree = packing.guard, packing.lcm, packing.degree
+    stats = dict.fromkeys(STATS, 0)
+
+    basis = []  # append-only: (lead, monic dict, sugar)
     lead_mask = []  # parallel to basis: OR of 1 << vid over the lead
     lead_deg = []  # parallel to basis: total degree of the lead
-    cofs = []  # with ``cofactor``, parallel to basis: cofactor of gens[-1]
-    reducers = []  # sorted [(lead_key, lead_mono, tail, basis index)],
-    # leads pairwise non-divisible: new elements are normal forms, old
-    # leads divisible by a new lead get pruned
-    pairs = []  # heap of (sugar, lcm_key, i, j); stale entries skipped
+    cof_of = {}  # with ``cofactor``: lead -> cofactor of gens[-1]
+    reducers = []  # sorted [(lead, tail)], leads pairwise non-divisible:
+    # new elements are normal forms, old leads divisible by a new lead get
+    # pruned
+    pairs = []  # heap of (sugar, lcm, i, j, lcm degree); stale entries
+    # skipped
     pending = set()
+    late = "basis computation exceeded its deadline"
 
     def reduce_full(d, cof):
         """Normal form of d; reduces the cofactor ``cof`` along, in place."""
         if not reducers:
             return d
-        track = None if cof is None else (cof, [cofs[e[3]] for e in reducers])
-        return kernel.reduce_nd(
-            d, [(lm, tail) for _, lm, tail, _ in reducers], slots, width, track
+        stats["reduced"] += 1
+        r = kernel.reduce_nd(
+            d, reducers, guard, None if cof is None else (cof, cof_of)
         )
+        if not r:
+            stats["reduced_to_zero"] += 1
+        return r
 
     def add_element(d, cof):
         """Monic-normalize, install as basis element, update pair queue.
 
         Returns True when the run is over: a constant with its cofactor.
         """
-        lm = max(d, key=lambda m: kernel.mono_key(m, slots, width))
+        lm = max(d)
         if cof is not None:
             ln, ld = d[lm]
-            cofs.append(kernel.nd_scale(cof, ld, ln))
+            cof_of[lm] = kernel.nd_scale(cof, ld, ln)
             if not lm:
                 return True
         d = kernel.nd_monic(d, lm)
         k = len(basis)
-        key_k = kernel.mono_key(lm, slots, width)
-        sugar_k = max(kernel.mono_deg(m) for m in d)
+        stats["elements_added"] += 1
+        stats["pairs"] += k
+        sugar_k = max(degree(m) for m in d)
         mask_k = 0
-        for v, _ in lm:
+        for v, _ in packing.unpack(lm):
             mask_k |= 1 << v
-        deg_k = kernel.mono_deg(lm)
+        deg_k = degree(lm)
         basis.append((lm, d, sugar_k))
         lead_mask.append(mask_k)
         lead_deg.append(deg_k)
         for i in range(k):
             if not lead_mask[i] & mask_k:
-                continue  # product criterion: the S-pair reduces to zero
+                stats["product_skipped"] += 1  # the S-pair reduces to zero
+                continue
             lmi, _, sugar_i = basis[i]
-            lcm = kernel.mono_lcm(lmi, lm)
-            dl = kernel.mono_deg(lcm)
+            lcm = lcm_of(lmi, lm)
+            dl = degree(lcm)
             sug = max(sugar_i + dl - lead_deg[i], sugar_k + dl - deg_k)
-            heappush(pairs, (sug, kernel.mono_key(lcm, slots, width), i, k))
+            heappush(pairs, (sug, lcm, i, k, dl))
             pending.add((i, k))
         # the new lead retires any reducer it divides (stale entries keep
         # serving the pair bookkeeping, just not reductions)
-        keep = [
-            e
-            for e in reducers
-            if mask_k & ~lead_mask[e[3]]
-            or deg_k > lead_deg[e[3]]
-            or kernel.mono_div(e[1], lm) is None
-        ]
+        keep = [e for e in reducers if ((e[0] | guard) - lm) & guard != guard]
         if len(keep) != len(reducers):
             reducers[:] = keep
-        insort(
-            reducers,
-            (key_k, lm, {m: c for m, c in d.items() if m != lm}, k),
-        )
+        insort(reducers, (lm, {m: c for m, c in d.items() if m != lm}))
         return False
 
     def unit_basis():
-        gb = GroebnerBasis([Poly.one(registry)], order)
-        gb.cofactor = Poly._raw(kernel.nd_to_frac(cofs[-1]), registry)
+        gb = GroebnerBasis([Poly.one(registry)], order, stats)
+        gb.cofactor = Poly._raw(packing.to_frac(cof_of[0]), registry)
         return gb
 
+    known = {}  # packed -> tuple monomial of the generators' terms
+    packed = []
+    for g in gens:
+        d, kn = order.pack_nd(g._t)
+        packed.append(d)
+        known.update(kn)
     seeds = sorted(
-        (k for k, g in enumerate(gens) if not g.is_zero()),
-        key=lambda k: order.key(order.leading(gens[k])[0]),
+        (k for k, d in enumerate(packed) if d), key=lambda k: max(packed[k])
     )
     for k in seeds:
         if deadline is not None and time.monotonic() > deadline:
-            raise GroebnerTimeout("basis computation exceeded its deadline")
+            raise GroebnerTimeout(late, stats)
         cof = None
         if cofactor:
-            cof = {(): (1, 1)} if k == len(gens) - 1 else {}
-        r = reduce_full(kernel.nd_from_frac(gens[k]._t), cof)
+            cof = {0: (1, 1)} if k == len(gens) - 1 else {}
+        r = reduce_full(packed[k], cof)
         if r and add_element(r, cof):
             return unit_basis()
 
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
-            raise GroebnerTimeout("basis computation exceeded its deadline")
-        _, _, i, j = heappop(pairs)
+            raise GroebnerTimeout(late, stats)
+        _, lcm, i, j, lcm_deg = heappop(pairs)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -219,42 +262,34 @@ def buchberger(
         # chain criterion: skip the pair when some other lead t divides
         # lcm(lmi, lmj) and neither (i, t) nor (j, t) is still pending.
         # A lead with a variable outside the lcm's support, or of higher
-        # degree, cannot divide it; only the rest get the exponent test.
-        lcm_exp = dict(lmi)
-        for v, e in lmj:
-            if e > lcm_exp.get(v, 0):
-                lcm_exp[v] = e
+        # degree, cannot divide it; only the rest get the guard-bit test.
         outside = ~(lead_mask[i] | lead_mask[j])
-        lcm_deg = sum(lcm_exp.values())
+        lg = lcm | guard
         skip = False
         for t, mask_t in enumerate(lead_mask):
             if mask_t & outside or lead_deg[t] > lcm_deg or t == i or t == j:
                 continue
-            for v, e in basis[t][0]:
-                if e > lcm_exp[v]:
-                    break
-            else:
+            if (lg - basis[t][0]) & guard == guard:
                 a, b = (i, t) if i < t else (t, i)
                 c, e = (j, t) if j < t else (t, j)
                 if (a, b) not in pending and (c, e) not in pending:
                     skip = True
                     break
         if skip:
+            stats["chain_skipped"] += 1
             continue
-        lcm = kernel.mono_lcm(lmi, lmj)
-        qi = kernel.mono_div(lcm, lmi)
-        qj = kernel.mono_div(lcm, lmj)
+        qi = lcm - lmi
+        qj = lcm - lmj
         s = kernel.nd_sub(
-            {kernel.mono_mul(m, qi): c for m, c in di.items()},
-            {kernel.mono_mul(m, qj): c for m, c in dj.items()},
+            kernel.nd_shift(di, qi, guard), kernel.nd_shift(dj, qj, guard)
         )
         if not s:
             continue
         cof = None
         if cofactor:
             cof = kernel.nd_sub(
-                {kernel.mono_mul(m, qi): c for m, c in cofs[i].items()},
-                {kernel.mono_mul(m, qj): c for m, c in cofs[j].items()},
+                kernel.nd_shift(cof_of[lmi], qi, guard),
+                kernel.nd_shift(cof_of[lmj], qj, guard),
             )
         r = reduce_full(s, cof)
         if r and add_element(r, cof):
@@ -267,11 +302,14 @@ def buchberger(
     # non-divisible, so the elements stay monic and nonzero.
     final = []  # (lead, reduced tail), the reducer list of later tails
     polys = []
-    for _, lm, tail, _ in reducers:
+    for lm, tail in reducers:
         if final:
-            tail = kernel.reduce_nd(tail, final, slots, width)
+            stats["finish_reductions"] += 1
+            tail = kernel.reduce_nd(tail, final, guard)
         final.append((lm, tail))
         polys.append(
-            Poly._raw(kernel.nd_to_frac({lm: (1, 1), **tail}), registry)
+            Poly._raw(packing.to_frac({lm: (1, 1), **tail}, known), registry)
         )
-    return GroebnerBasis(polys, order)
+    gb = GroebnerBasis(polys, order, stats)
+    gb._packed = (packing, final)
+    return gb

@@ -6,17 +6,17 @@ own globals alone, so the calls made inside ``reduce_nd`` stay unwrapped.
 """
 
 from ._kernel_py import (
-    mono_coprime,
+    FieldOverflow,
+    Packing,
     mono_deg,
     mono_div,
     mono_key,
     mono_lcm,
     mono_mul,
-    nd_from_frac,
     nd_monic,
     nd_scale,
+    nd_shift,
     nd_sub,
-    nd_to_frac,
     poly_add,
     poly_mul,
     poly_scale,

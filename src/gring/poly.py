@@ -302,10 +302,19 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-class MonomialOrder:
-    """Block order; degrevlex inside each block, leftmost block dominates."""
+#: Field width, guard bit included, of a new order's packed monomials.
+_FIELD_BITS = 8
 
-    __slots__ = ("blocks", "slots", "width", "registry")
+
+class MonomialOrder:
+    """Block order; degrevlex inside each block, leftmost block dominates.
+
+    ``packing`` lays out the order's packed-integer monomials (see
+    ``kernel.Packing``); ``repacking`` makes it wider when a degree
+    outgrows it.
+    """
+
+    __slots__ = ("blocks", "slots", "width", "registry", "packing")
 
     def __init__(self, blocks, registry=None):
         self.registry = registry if registry is not None else REGISTRY
@@ -328,15 +337,41 @@ class MonomialOrder:
             base += 1 + n
         self.slots = slots
         self.width = base
+        self.packing = kernel.Packing(cleaned, _FIELD_BITS)
+
+    def _foreign(self, vid):
+        name = self.registry.name(vid)
+        return ForeignVariable(f"variable {name!r} is not part of this monomial order")
 
     def key(self, mono):
         try:
             return kernel.mono_key(mono, self.slots, self.width)
         except KeyError as exc:
-            name = self.registry.name(exc.args[0])
-            raise ForeignVariable(
-                f"variable {name!r} is not part of this monomial order"
-            ) from None
+            raise self._foreign(exc.args[0]) from None
+
+    def check(self, p: Poly):
+        """Raise ForeignVariable if p has a variable outside the order."""
+        for vid in p.variables():
+            if vid not in self.slots:
+                raise self._foreign(vid)
+
+    def pack_nd(self, terms):
+        """``packing.pack_nd(terms)``, raising ForeignVariable for a
+        variable outside the order."""
+        try:
+            return self.packing.pack_nd(terms)
+        except KeyError as exc:
+            raise self._foreign(exc.args[0]) from None
+
+    def repacking(self, run):
+        """``run(packing)``; after a FieldOverflow the packing gets fields
+        twice as wide and ``run`` starts over."""
+        while True:
+            packing = self.packing
+            try:
+                return run(packing)
+            except kernel.FieldOverflow:
+                self.packing = kernel.Packing(self.blocks, 2 * packing.bits)
 
     def leading(self, p: Poly):
         """(monomial, coefficient) of the leading term; p must be nonzero."""

@@ -55,6 +55,10 @@ class QuotientRing:
         return [self.registry.name(v) for v in self.vids]
 
     def nf(self, p: Poly) -> Poly:
+        """Normal form of p; ForeignVariable if p has a variable outside
+        the ring, also when the ring has no relations."""
+        if not self.gb.polys:
+            self.order.check(p)
         return self.gb.normal_form(p)
 
     def is_zero(self, p: Poly) -> bool:

@@ -8,7 +8,11 @@ divisibility tests that would fail, so on every input both engines must
 return the same reduced basis and reduce the same pairs.  Pairs reduced
 are counted as calls of ``kernel.reduce_nd`` before the finish: the
 engine's one-pass finish makes one call per element after the first, and
-the reference's fixpoint loop makes at least two passes.
+the reference's fixpoint loop makes at least two passes.  The engine now
+works on packed-integer monomials; the reference keeps tuple monomials,
+with frozen copies of the tuple-monomial kernel helpers the engine no
+longer uses (``reference_reduce_nd`` and its helpers), and its reductions
+count on the same counter as the engine's ``kernel.reduce_nd`` calls.
 
 Inputs are recorded from the ring constructions and ideal bases gring
 builds: the properness ideals of ``sw_elements`` in A(r,s,t), the relation
@@ -17,7 +21,9 @@ bases of E(s,t), KF2 and KF3, and seeded criterion-8 ideals.
 
 import random
 from bisect import insort
-from heapq import heappop, heappush
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 import pytest
 
@@ -27,6 +33,103 @@ from gring.groebner import GroebnerBasis, buchberger
 from gring.ideals import bullet_generators, hash_generators, hashhash_generators
 from gring.poly import Poly
 from gring.words import Word
+
+
+def mono_neg_key(m, slots, width):
+    k = [0] * width
+    for vid, e in m:
+        ds, es = slots[vid]
+        k[ds] -= e
+        k[es] = e
+    return tuple(k)
+
+
+def mono_coprime(a, b):
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va = a[i][0]
+        vb = b[j][0]
+        if va == vb:
+            return False
+        if va < vb:
+            i += 1
+        else:
+            j += 1
+    return True
+
+
+def nd_from_frac(p):
+    return {m: (c.numerator, c.denominator) for m, c in p.items()}
+
+
+def nd_to_frac(p):
+    return {m: n if d == 1 else Fraction(n, d) for m, (n, d) in p.items()}
+
+
+def reference_reduce_nd(p, reducers, slots, width):
+    """``kernel.reduce_nd`` on tuple monomials (frozen copy)."""
+    work = dict(p)
+    out = {}
+    if not work:
+        return out
+    red_neg_keys = [mono_neg_key(lm, slots, width) for lm, _ in reducers]
+    cache = {}
+    heap = []
+    for m in work:
+        k = mono_neg_key(m, slots, width)
+        cache[m] = k
+        heap.append((k, m))
+    heapify(heap)
+    while heap:
+        nk, m = heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue
+        quotient = None
+        tail = None
+        for idx, (lm, t) in enumerate(reducers):
+            if red_neg_keys[idx] < nk:
+                break  # this and all later leads are bigger than m
+            q = kernel.mono_div(m, lm)
+            if q is not None:
+                quotient = q
+                tail = t
+                break
+        del work[m]
+        if quotient is None:
+            out[m] = c
+            continue
+        cn, cd = c
+        for tm, tc in tail.items():
+            nm = kernel.mono_mul(tm, quotient)
+            tn, td = tc
+            g1 = gcd(cn, td)
+            g2 = gcd(tn, cd)
+            dn = (cn // g1) * (tn // g2)  # delta = c*t; subtracted below
+            dd = (cd // g2) * (td // g1)
+            prev = work.get(nm)
+            if prev is None:
+                work[nm] = (-dn, dd)
+                k = cache.get(nm)
+                if k is None:
+                    k = mono_neg_key(nm, slots, width)
+                    cache[nm] = k
+                heappush(heap, (k, nm))
+            else:
+                pn, pd = prev
+                g = gcd(pd, dd)
+                num = pn * (dd // g) - dn * (pd // g)
+                if num == 0:
+                    del work[nm]
+                    continue
+                den = pd * (dd // g)
+                g2 = gcd(num, den)
+                if g2 > 1:
+                    num //= g2
+                    den //= g2
+                work[nm] = (num, den)
+    return out
 
 
 def reference_buchberger(gens, order, finish_started=lambda: None):
@@ -45,7 +148,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
     def reduce_full(d):
         if not reducers:
             return d
-        return kernel.reduce_nd(
+        return reference_reduce_nd(
             d, [(lm, tail) for _, lm, tail in reducers], slots, width
         )
 
@@ -59,7 +162,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
         basis.append((lm, d, sugar_k, key_k))
         for i in range(k):
             lmi, _, sugar_i, _ = basis[i]
-            if kernel.mono_coprime(lmi, lm):
+            if mono_coprime(lmi, lm):
                 continue  # product criterion: the S-pair reduces to zero
             lcm = kernel.mono_lcm(lmi, lm)
             dl = kernel.mono_deg(lcm)
@@ -84,7 +187,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
         key=lambda g: order.key(order.leading(g)[0]),
     )
     for g in seeds:
-        r = reduce_full(kernel.nd_from_frac(g._t))
+        r = reduce_full(nd_from_frac(g._t))
         if r:
             add_element(r)
 
@@ -139,12 +242,12 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
                 for j, (lm, d) in enumerate(final)
                 if j != i
             ]
-            r = kernel.reduce_nd(final[i][1], others, slots, width)
+            r = reference_reduce_nd(final[i][1], others, slots, width)
             if r != final[i][1]:
                 changed = True
                 final[i] = (final[i][0], r)
     polys = [
-        Poly._raw(kernel.nd_to_frac(d), registry) for _, d in final
+        Poly._raw(nd_to_frac(d), registry) for _, d in final
     ]
     polys.sort(key=lambda p: order.key(order.leading(p)[0]))
     return GroebnerBasis(polys, order)
@@ -152,14 +255,17 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Count ``kernel.reduce_nd`` calls and record every basis computed
-    through ``gring.ring`` as (gens, order, polys, reduce_nd calls)."""
+    """Count ``kernel.reduce_nd`` and ``reference_reduce_nd`` calls and
+    record every basis computed through ``gring.ring`` as (gens, order,
+    polys, reduce_nd calls)."""
     counter = [0]
-    real_reduce = kernel.reduce_nd
 
-    def counting_reduce(*args):
-        counter[0] += 1
-        return real_reduce(*args)
+    def counting(reduce):
+        def counting_reduce(*args):
+            counter[0] += 1
+            return reduce(*args)
+
+        return counting_reduce
 
     records = []
 
@@ -170,7 +276,10 @@ def recorded(monkeypatch):
         records.append((gens, order, polys, counter[0] - before))
         return GroebnerBasis(polys, order)
 
-    monkeypatch.setattr(kernel, "reduce_nd", counting_reduce)
+    monkeypatch.setattr(kernel, "reduce_nd", counting(kernel.reduce_nd))
+    monkeypatch.setitem(
+        globals(), "reference_reduce_nd", counting(reference_reduce_nd)
+    )
     monkeypatch.setattr(ring, "buchberger", recording_buchberger)
     return records, counter
 

@@ -1,5 +1,12 @@
-from gring.groebner import buchberger
-from gring.poly import REGISTRY, Poly, degrevlex
+import time
+
+import pytest
+
+from gring import kernel
+from gring.casestudies import build_E
+from gring.errors import GroebnerTimeout
+from gring.groebner import STATS, buchberger
+from gring.poly import REGISTRY, Poly, degrevlex, parse_poly
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -121,3 +128,42 @@ def test_cofactor_mode_without_unit_returns_the_reduced_basis():
     assert gb.cofactor is None
     assert gb.polys == buchberger(gens, order).polys
     assert buchberger(gens, order).cofactor is None
+
+
+def test_stats_count_the_run(monkeypatch):
+    calls = [0]
+    real = kernel.reduce_nd
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "reduce_nd", counting)
+    gens = [x * x * y - z, x * y * y - x, y * z * z - 1, x * z - y]
+    gb = buchberger(gens, _order("x", "y", "z"))
+    st = gb.stats
+    assert set(st) == set(STATS)
+    # S-pair and generator reductions, then the finish, all through the
+    # kernel; one pair per element and each earlier element
+    assert st["reduced"] + st["finish_reductions"] == calls[0]
+    assert st["finish_reductions"] == max(len(gb) - 1, 0)
+    n = st["elements_added"]
+    assert n >= len(gb) and st["pairs"] == n * (n - 1) // 2
+    assert 0 < st["reduced_to_zero"] < st["reduced"]
+    assert st["product_skipped"] + st["chain_skipped"] <= st["pairs"]
+    # deterministic: the same input gives the same counts
+    assert buchberger(gens, _order("x", "y", "z")).stats == st
+
+
+def test_timeout_carries_stats():
+    # without a deadline this inversion basis in E(5,7) runs for minutes
+    E = build_E(5, 7)
+    elem = E.nf(
+        parse_poly("-mu2*s1^2*s2^2 + 2*mu1*s1^2*s2^2 - s1^3 + 3*s2 + s1")
+    )
+    with pytest.raises(GroebnerTimeout) as exc:
+        buchberger(
+            list(E.gb.polys) + [elem], E.order, deadline=time.monotonic() + 0.5
+        )
+    assert set(exc.value.stats) == set(STATS)
+    assert exc.value.stats["reduced"] > 0

@@ -9,7 +9,10 @@ raise NotAUnit.
 
 Inputs: every ``invert`` call ``boyer_certificate`` makes over the
 benchmark's certify grid for seeded words, the three sine inverses of the
-five properness rings, and seeded sparse elements of E(s,t).
+five properness rings, and seeded sparse elements of E(s,t).  The engine
+now works on packed-integer monomials; the reference keeps tuple monomials,
+with frozen copies of the tuple-monomial helpers ``mono_neg_key`` and
+``mono_coprime`` that the kernel no longer has.
 """
 
 import random
@@ -19,11 +22,34 @@ from heapq import heapify, heappop, heappush
 import pytest
 
 from gring import casestudies, kernel, ring
-from gring._kernel_py import mono_neg_key
 from gring.casestudies import BoyerInstance, build_E, sw_build
 from gring.errors import NotAUnit
 from gring.poly import REGISTRY, Poly
 from gring.words import Word
+
+
+def mono_neg_key(m, slots, width):
+    k = [0] * width
+    for vid, e in m:
+        ds, es = slots[vid]
+        k[ds] -= e
+        k[es] = e
+    return tuple(k)
+
+
+def mono_coprime(a, b):
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va = a[i][0]
+        vb = b[j][0]
+        if va == vb:
+            return False
+        if va < vb:
+            i += 1
+        else:
+            j += 1
+    return True
 
 
 def _mul_mono(p, mono, coeff):
@@ -112,7 +138,7 @@ def reference_groebner_with_cofactors(gens, order):
         k = len(basis) - 1
         for i in range(k):
             lmi = basis[i][0]
-            if kernel.mono_coprime(lmi, lm):
+            if mono_coprime(lmi, lm):
                 continue
             lcm = kernel.mono_lcm(lmi, lm)
             heappush(

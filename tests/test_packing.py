@@ -1,0 +1,162 @@
+"""Packed-integer monomials against the tuple-monomial operations.
+
+For a single-block degrevlex order and KF3's two-block order, seeded random
+monomials check that packing round-trips, that ``<`` on packed ints is
+``MonomialOrder.key``'s order, that ``+`` is ``mono_mul``, that the
+guard-bit test and ``m - l`` are ``mono_div``, and that ``Packing.lcm`` is
+``mono_lcm``; a field passing its guard bit must be detected, never wrap.
+The overflow tests run the engine past the initial field width, and from
+the narrowest width, and compare with the tuple-monomial reference engine.
+"""
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from gring import kernel, poly, ring
+from gring.casestudies import make_E
+from gring.groebner import buchberger
+from gring.poly import Poly, VariableRegistry, degrevlex
+
+from test_engine_differential import (
+    nd_from_frac,
+    nd_to_frac,
+    reference_buchberger,
+    reference_reduce_nd,
+)
+
+_LOCAL = VariableRegistry()
+SINGLE = degrevlex([_LOCAL.var(f"a{i}") for i in range(5)], _LOCAL)
+
+
+def _kf3_order():
+    return ring.build_KF(3).order
+
+
+ORDERS = {"single": lambda: SINGLE, "kf3": _kf3_order}
+
+
+def _pack(order, mono):
+    (x,) = order.pack_nd({mono: 1})[0]
+    return x
+
+
+def _block_degrees(order, mono):
+    exps = dict(mono)
+    return [sum(exps.get(v, 0) for v in b) for b in order.blocks]
+
+
+@st.composite
+def monomials(draw, order):
+    """Monomials whose total degree fits the order's fields."""
+    vids = sorted(v for b in order.blocks for v in b)
+    half = 1 << (order.packing.bits - 1)
+    cap = (half - 1) // len(vids)
+    exps = draw(st.lists(st.integers(0, cap), min_size=len(vids), max_size=len(vids)))
+    return tuple((v, e) for v, e in zip(vids, exps) if e)
+
+
+def _sparse(mono, keep):
+    return tuple(ve for ve, k in zip(mono, keep) if k)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_ops_match_tuple_ops(name, data):
+    order = ORDERS[name]()
+    pk = order.packing
+    g = pk.guard
+    half = 1 << (pk.bits - 1)
+    a = data.draw(monomials(order))
+    b = data.draw(monomials(order))
+    # sparse variants make divisibility and coprimality likely
+    b = _sparse(b, data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b))))
+    pa, pb = _pack(order, a), _pack(order, b)
+
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert pk.degree(pa) == kernel.mono_deg(a)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+
+    prod = kernel.mono_mul(a, b)
+    fits = all(d < half for d in _block_degrees(order, prod))
+    assert ((pa + pb) & g == 0) == fits
+    if fits:
+        assert pa + pb == _pack(order, prod)
+
+    q = kernel.mono_div(a, b)
+    assert (((pa | g) - pb) & g == g) == (q is not None)
+    if q is not None:
+        assert pa - pb == _pack(order, q)
+
+    lcm = kernel.mono_lcm(a, b)
+    if all(d < half for d in _block_degrees(order, lcm)):
+        assert pk.lcm(pa, pb) == _pack(order, lcm)
+    else:
+        with pytest.raises(kernel.FieldOverflow):
+            pk.lcm(pa, pb)
+
+
+def test_pack_rejects_too_big_degree():
+    pk = SINGLE.packing
+    half = 1 << (pk.bits - 1)
+    v = SINGLE.blocks[0][0]
+    with pytest.raises(kernel.FieldOverflow):
+        SINGLE.pack_nd({((v, half),): 1})
+
+
+def _fresh_xy():
+    reg = VariableRegistry()
+    x, y = Poly.variable("x", reg), Poly.variable("y", reg)
+    return reg, x, y
+
+
+def test_exponents_past_initial_width():
+    reg, x, y = _fresh_xy()
+    half = 1 << (poly._FIELD_BITS - 1)
+    order = degrevlex([reg.lookup("x"), reg.lookup("y")], reg)
+    # the inputs fit the fields; their lcm and S-polynomial do not
+    gens = [x ** (half - 28) * y - 1, x * y ** (half - 28) - 1]
+    polys = buchberger(gens, order).polys
+    assert order.packing.bits > poly._FIELD_BITS
+    assert polys == reference_buchberger(gens, order).polys
+    # an input past the fields repacks too
+    big = [x ** (4 * half) - y, y ** 3 - x * y]
+    assert buchberger(big, order).polys == reference_buchberger(big, order).polys
+
+
+def test_narrowest_width_gives_reference_bases(monkeypatch):
+    monkeypatch.setattr(poly, "_FIELD_BITS", 2)
+    records = []
+    real = ring.buchberger
+
+    def recording(gens, order, deadline=None):
+        gb = real(gens, order, deadline=deadline)
+        records.append((list(gens), order, gb.polys))
+        return gb
+
+    monkeypatch.setattr(ring, "buchberger", recording)
+    E = make_E(3, 4)
+    kf = ring.KFRing(3)
+    assert E.order.packing.bits > 2 and kf.order.packing.bits > 2
+    assert records
+    for gens, order, polys in records:
+        assert polys == reference_buchberger(gens, order).polys
+
+    # a normal form past the width the basis was packed with repacks the
+    # basis too
+    p = kf.lam(1) ** 200 + kf.lam(2) * kf.lam(3)
+    bits = kf.order.packing.bits
+    got = kf.nf(p)
+    assert kf.order.packing.bits > bits
+    reducers = []
+    for b in kf.gb.polys:
+        lm, _ = kf.order.leading(b)
+        tail = nd_from_frac(b._t)
+        del tail[lm]
+        reducers.append((lm, tail))
+    want = reference_reduce_nd(
+        nd_from_frac(p._t), reducers, kf.order.slots, kf.order.width
+    )
+    assert got._t == nd_to_frac(want)

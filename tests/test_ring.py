@@ -4,7 +4,9 @@ import time
 import pytest
 
 from gring import ring as ring_module
-from gring.errors import GroebnerTimeout, NotAUnit
+from gring.casestudies import build_E
+from gring.errors import ForeignVariable, GroebnerTimeout, NotAUnit
+from gring.groebner import buchberger
 from gring.poly import REGISTRY, Poly, VariableRegistry, degrevlex
 from gring.ring import (
     QuotientRing,
@@ -223,3 +225,24 @@ def test_split_w():
     assert plain == 3 * lam1 * lam1
     assert list(cof) == [(1, 2, 3)]
     assert cof[(1, 2, 3)] == lam1
+
+
+@pytest.mark.parametrize("label", ["KF2", "KF3", "E(3,4)"])
+def test_foreign_variable_is_named(label):
+    R = {
+        "KF2": lambda: build_KF(2),
+        "KF3": lambda: build_KF(3),
+        "E(3,4)": lambda: build_E(3, 4),
+    }[label]()
+    p = Poly.variable("zz") + Poly.variable(R.registry.name(R.vids[0]))
+    with pytest.raises(ForeignVariable, match="'zz'"):
+        R.nf(p)
+    if R.gb.polys:
+        with pytest.raises(ForeignVariable, match="'zz'"):
+            R.gb.normal_form(p)
+    with pytest.raises(ForeignVariable, match="'zz'"):
+        buchberger([p], R.order)
+    if not R.gb.polys:
+        # checking the variables packs nothing: no degree is too big
+        big = Poly.variable(R.registry.name(R.vids[-1])) ** 300
+        assert R.nf(big) == big
