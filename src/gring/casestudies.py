@@ -601,6 +601,8 @@ def conjecture_probe(
     """
     if not c3:
         raise InvalidInstance("the xy-coefficient c3 must be nonzero")
+    if trials < 0:
+        raise InvalidInstance(f"trials must not be negative, got {trials}")
     rng = random.Random(seed)
     report = CheckReport("sw-probe", {
         "c0": str(c0), "c1": str(c1), "c2": str(c2), "c3": str(c3),

@@ -43,13 +43,26 @@ EXIT_TIMEOUT = 3
 
 def _read_presentation(args):
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except OSError as exc:
+            raise GringError(f"cannot read {args.file}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise GringError(f"cannot read {args.file}: not UTF-8 text") from None
     else:
         text = args.presentation
     if not text:
         raise GringError("no presentation given (use --presentation or --file)")
     return parse_presentation(text)
+
+
+def _rational(flag, text):
+    """``text`` as a Fraction; GringError naming ``flag`` if it is none."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise GringError(f"{flag}: not a rational number: {text!r}") from None
 
 
 def _parse_words(text, names):
@@ -193,10 +206,7 @@ def _cmd_sw(args) -> int:
         return EXIT_OK if report.ok else EXIT_ERROR
     if args.sw_command == "probe":
         report = conjecture_probe(
-            Fraction(args.c0),
-            Fraction(args.c1),
-            Fraction(args.c2),
-            Fraction(args.c3),
+            *(_rational(f"--c{i}", getattr(args, f"c{i}")) for i in range(4)),
             seed=args.seed,
             trials=args.trials,
         )

@@ -12,6 +12,7 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from .agmod import AElem, bar, bracket, dot, embed_word, power_bar, triple, vec
+from .errors import InvalidInstance
 from .poly import Poly, chebyshev_like
 from .ring import build_KF
 from .words import Word, random_word
@@ -356,6 +357,15 @@ SUITE = [
 def run_identity_suite(
     seed: int = 0, n: int = 3, pool_size: int = 200, max_len: int = 6
 ):
-    """Run every identity check against a seeded random element pool."""
+    """Run every identity check against a seeded random element pool.
+
+    Raises InvalidInstance unless ``n`` and ``pool_size`` are positive and
+    ``max_len`` is not negative.
+    """
+    if n < 1 or pool_size < 1 or max_len < 0:
+        raise InvalidInstance(
+            f"need n >= 1, pool_size >= 1 and max_len >= 0, got {n}, "
+            f"{pool_size} and {max_len}"
+        )
     ctx = _Ctx(seed, n, pool_size, max_len)
     return [_run_check(ctx, *check) for check in SUITE]

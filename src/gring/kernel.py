@@ -1,29 +1,402 @@
-"""The hot polynomial loops, re-exported from ``_kernel_py``.
+"""The hot polynomial loops.
 
-Callers import the kernel through this module, never ``_kernel_py``: a
-run-time tracer can then wrap these names and leave the implementation's
-own globals alone, so the calls made inside ``reduce_nd`` stay unwrapped.
+Polynomial arithmetic works on tuple monomials: tuples of
+``(variable_id, exponent)`` pairs sorted by id with strictly positive
+exponents; polynomials at this level are plain dicts mapping monomial to
+coefficient.
+
+Reduction works on packed monomials: one Python int per monomial, laid out
+by a ``Packing`` for one block order.  The int is a row of ``bits``-wide
+fields, two per variable; the top bit of each field is a guard bit that a
+valid monomial leaves clear.  The low half holds the exponents: each block
+``v_1..v_k`` has ``k`` adjacent fields with ``e_1`` lowest, and the
+leftmost block lies highest.  The high half holds the order key in the
+same block layout: the prefix sums ``P_i = e_1 + ... + e_i``, so that
+``P_k``, the block degree, is each block's most significant field.
+Degrevlex in a block compares the degree, then prefers the smaller
+``e_k``, then the smaller ``e_{k-1}``..., which is comparing ``P_k,
+P_{k-1}, ...`` in turn; so ``<`` on the ints is the block order.  Every
+field is linear in the exponents, hence:
+
+* the product of ``a`` and ``b`` is ``a + b``; a field passing its guard
+  bit raises ``FieldOverflow`` and the caller repacks wider;
+* with ``G`` the mask of all guard bits, ``l`` divides ``m`` exactly when
+  ``((m | G) - l) & G == G`` (no field of ``m`` is below ``l``'s, and the
+  prefix sums follow the exponents), and then ``m / l`` is ``m - l``;
+* the lcm takes the fieldwise maximum of the exponent fields with the same
+  guard-bit trick, and rebuilds each block's key with one multiplication
+  by ``1 + 2^bits + 2^(2 bits) + ...``, which sums the prefixes.
+
+Coefficients in the reduction loops are normalized ``(num, den)`` pairs.
+
+No function here calls ``reduce_nd``, ``mono_div`` or ``mono_lcm``, so a
+run-time tracer that wraps those names sees only the calls from outside.
 """
 
-from ._kernel_py import (
-    FieldOverflow,
-    Packing,
-    mono_deg,
-    mono_div,
-    mono_key,
-    mono_lcm,
-    mono_mul,
-    nd_monic,
-    nd_scale,
-    nd_shift,
-    nd_sub,
-    poly_add,
-    poly_mul,
-    poly_scale,
-    reduce_nd,
-)
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 def backend() -> str:
     """Name of the kernel implementation."""
     return "python"
+
+
+class FieldOverflow(ArithmeticError):
+    """A packed field passed its guard bit; the packing must get wider."""
+
+
+class Packing:
+    """Packed-integer monomials of one block order at one field width."""
+
+    __slots__ = (
+        "bits",
+        "guard",
+        "_fmask",
+        "_unit",
+        "_fields",
+        "_blocks",
+        "_degs",
+        "_exp_mask",
+        "_exp_guard",
+    )
+
+    def __init__(self, blocks, bits):
+        n = sum(len(b) for b in blocks)
+        ebits = n * bits
+        self.bits = bits
+        self._fmask = (1 << bits) - 1
+        ones = sum(1 << (f * bits) for f in range(2 * n))
+        self.guard = (1 << (bits - 1)) * ones
+        self._exp_mask = (1 << ebits) - 1
+        self._exp_guard = self.guard & self._exp_mask
+        self._blocks = []  # (shift, mask, prefix-sum multiplier, key shift)
+        self._degs = []  # bit offset of each block's degree field
+        fields = []  # (vid, bit offset of its exponent field)
+        shift = 0
+        for b in reversed(blocks):  # the leftmost block ends up on top
+            size = len(b)
+            rep = sum(1 << (i * bits) for i in range(size))
+            mask = (1 << (size * bits)) - 1
+            self._blocks.append((shift, mask, rep, shift + ebits))
+            self._degs.append(shift + ebits + (size - 1) * bits)
+            fields.extend((vid, shift + i * bits) for i, vid in enumerate(b))
+            shift += size * bits
+        self._fields = sorted(fields)
+        self._unit = {vid: self._with_key(1 << s) for vid, s in fields}
+
+    def _with_key(self, e):
+        """Exponent fields ``e`` plus the order key they determine."""
+        for shift, mask, rep, kshift in self._blocks:
+            e |= ((e >> shift & mask) * rep & mask) << kshift
+        return e
+
+    def pack_nd(self, terms):
+        """Packed (num, den) pair dict of a coefficient dict, and a map from
+        each packed monomial back to its tuple.
+
+        Raises KeyError with the id of a variable outside the order, and
+        FieldOverflow when a block degree does not fit.  The guard bits
+        tell that exactly while no field carries into the next, which holds
+        below a total degree of ``2^bits``.
+        """
+        unit, guard, limit = self._unit, self.guard, self._fmask + 1
+        nd = {}
+        known = {}
+        for m, c in terms.items():
+            x = d = 0
+            for v, e in m:
+                x += e * unit[v]
+                d += e
+            if d >= limit or x & guard:
+                raise FieldOverflow
+            nd[x] = (c.numerator, c.denominator)
+            known[x] = m
+        return nd, known
+
+    def unpack(self, x):
+        """Tuple monomial of the packed ``x``."""
+        fmask = self._fmask
+        return tuple([(v, e) for v, s in self._fields if (e := x >> s & fmask)])
+
+    def to_frac(self, nd, known=None):
+        """Coefficient dict (tuple monomials, ``int`` when den is 1) of a
+        packed (num, den) dict; monomials found in ``known`` are reused."""
+        known = known or {}
+        unpack = self.unpack
+        out = {}
+        for x, (n, d) in nd.items():
+            m = known.get(x)
+            out[unpack(x) if m is None else m] = n if d == 1 else Fraction(n, d)
+        return out
+
+    def lcm(self, a, b):
+        """lcm of the packed ``a`` and ``b``; FieldOverflow if it does not
+        fit."""
+        em, g = self._exp_mask, self._exp_guard
+        ea = a & em
+        eb = b & em
+        ge = ((ea | g) - eb) & g  # guard bits of the fields where ea >= eb
+        sel = ge - (ge >> (self.bits - 1))
+        x = self._with_key((ea & sel) | (eb & ~sel))
+        if x & self.guard:
+            raise FieldOverflow
+        return x
+
+    def degree(self, x):
+        """Total degree of the packed ``x``."""
+        fmask = self._fmask
+        d = 0
+        for s in self._degs:
+            d += x >> s & fmask
+        return d
+
+
+def mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def mono_div(a, b):
+    """Return a/b as a monomial, or None when b does not divide a."""
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while j < lb:
+        if i >= la:
+            return None
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif va > vb:
+            return None
+        else:
+            if ea < eb:
+                return None
+            if ea > eb:
+                out.append((va, ea - eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    return tuple(out)
+
+
+def mono_lcm(a, b):
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea if ea >= eb else eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        prev = out.get(m)
+        if prev is None:
+            out[m] = c
+        else:
+            s = prev + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def poly_mul(p, q):
+    if len(p) > len(q):
+        p, q = q, p
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            nm = mono_mul(m1, m2)
+            prev = out.get(nm)
+            if prev is None:
+                out[nm] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    out[nm] = s
+                else:
+                    del out[nm]
+    return out
+
+
+def poly_scale(p, c):
+    if not c:
+        return {}
+    return {m: v * c for m, v in p.items()}
+
+
+def nd_scale(p, sn, sd):
+    """p * (sn/sd) on (num, den) pair dicts, sn and sd nonzero; den stays > 0."""
+    if sn == 1 and sd == 1:
+        return p
+    out = {}
+    for m, (n, d) in p.items():
+        g1 = gcd(n, sd)
+        g2 = gcd(sn, d)
+        num = (n // g1) * (sn // g2)
+        den = (d // g2) * (sd // g1)
+        if den < 0:
+            num, den = -num, -den
+        out[m] = (num, den)
+    return out
+
+
+def nd_monic(p, lead_mono):
+    """Divide through by the coefficient of ``lead_mono``; den stays > 0."""
+    ln, ld = p[lead_mono]
+    return nd_scale(p, ld, ln)
+
+
+def nd_sub(p, q):
+    """p - q on (num, den) pair dicts."""
+    out = dict(p)
+    _nd_isub(out, q)
+    return out
+
+
+def _nd_isub(acc, q):
+    """acc -= q in place, on (num, den) pair dicts."""
+    for m, (bn, bd) in q.items():
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = (-bn, bd)
+            continue
+        an, ad = prev
+        g = gcd(ad, bd)
+        num = an * (bd // g) - bn * (ad // g)
+        if num == 0:
+            del acc[m]
+            continue
+        den = ad * (bd // g)
+        g2 = gcd(num, den)
+        if g2 > 1:
+            num //= g2
+            den //= g2
+        acc[m] = (num, den)
+
+
+def nd_shift(p, q, guard):
+    """x^q * p on a packed (num, den) pair dict."""
+    out = {}
+    for m, c in p.items():
+        m += q
+        if m & guard:
+            raise FieldOverflow
+        out[m] = c
+    return out
+
+
+def reduce_nd(p, reducers, guard, cofactor=None):
+    """Full normal form of a packed (num, den) pair dict.
+
+    ``reducers`` is a list of ``(lead, tail_dict)`` pairs of packed
+    monomials with leading coefficient 1 (the lead excluded from the tail),
+    sorted by ascending lead; the first divisor in list order wins, making
+    the reduction deterministic.  A divisor's lead never exceeds the term it
+    divides, so the scan stops at the first reducer ordered above the
+    current term.  ``guard`` is the packing's guard mask.
+
+    ``cofactor``, when given, is a pair ``(cof, reducer_cofs)``: the
+    cofactor dict of ``p`` and a dict from each reducer's lead to its
+    cofactor dict.  Each step that subtracts ``c * x^q`` times a reducer
+    subtracts the same multiple of its cofactor from ``cof``, in place.
+    """
+    work = dict(p)
+    out = {}
+    if not work:
+        return out
+    cof, reducer_cofs = cofactor if cofactor is not None else (None, None)
+    heap = [-m for m in work]  # heapq is a min-heap: negated monomials
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        tail = None
+        mg = m | guard
+        for lm, t in reducers:
+            if lm > m:
+                break  # this and all later leads are bigger than m
+            if (mg - lm) & guard == guard:
+                tail = t
+                break
+        if tail is None:
+            out[m] = c
+            continue
+        q = m - lm
+        cn, cd = c
+        if cof is not None:
+            _nd_isub(cof, nd_scale(nd_shift(reducer_cofs[lm], q, guard), cn, cd))
+        for tm, (tn, td) in tail.items():
+            nm = tm + q
+            g1 = gcd(cn, td)
+            g2 = gcd(tn, cd)
+            dn = (cn // g1) * (tn // g2)  # delta = c*t; subtracted below
+            dd = (cd // g2) * (td // g1)
+            prev = work.get(nm)
+            if prev is None:
+                # an overflowed product has a guard bit set, so it is
+                # never already present: checking new terms is enough
+                if nm & guard:
+                    raise FieldOverflow
+                work[nm] = (-dn, dd)
+                heappush(heap, -nm)
+            else:
+                pn, pd = prev
+                g = gcd(pd, dd)
+                num = pn * (dd // g) - dn * (pd // g)
+                if num == 0:
+                    del work[nm]
+                    continue
+                den = pd * (dd // g)
+                g2 = gcd(num, den)
+                if g2 > 1:
+                    num //= g2
+                    den //= g2
+                work[nm] = (num, den)
+    return out

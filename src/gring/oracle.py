@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .agmod import embed_word
-from .errors import ForeignVariable, GringError
+from .errors import ForeignVariable, GringError, InvalidInstance
 from .poly import Poly
 from .ring import KFRing, build_KF
 from .words import Word, random_word
@@ -196,8 +196,15 @@ def fuzz_bar(
     """Compare quaternion scalar parts against symbolic scalar parts.
 
     Mismatches are collected with full witnesses rather than raised; any
-    entry in the report falsifies the engine and is a bug.
+    entry in the report falsifies the engine and is a bug.  Raises
+    InvalidInstance unless ``n`` and ``height`` are positive and
+    ``trials`` and ``max_word_length`` are not negative.
     """
+    if n < 1 or height < 1 or trials < 0 or max_word_length < 0:
+        raise InvalidInstance(
+            f"need n >= 1, height >= 1, trials >= 0 and max_word_length >= 0, "
+            f"got {n}, {height}, {trials} and {max_word_length}"
+        )
     rng = random.Random(seed)
     ring = build_KF(n)
     report = FuzzReport(trials, max_word_length, n, seed, height)

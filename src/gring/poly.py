@@ -45,9 +45,10 @@ class VariableRegistry:
         return vid
 
     def lookup(self, name: str) -> int:
+        """Id of ``name``; ForeignVariable if the registry lacks it."""
         vid = self._ids.get(name)
         if vid is None:
-            raise KeyError(name)
+            raise ForeignVariable(f"unknown variable {name!r}")
         return vid
 
     def name(self, vid: int) -> str:
@@ -265,11 +266,13 @@ class Poly:
     # -- rendering -----------------------------------------------------
 
     def _sorted_terms(self):
-        return sorted(
-            self._t.items(),
-            key=lambda kv: (kernel.mono_deg(kv[0]), kv[0]),
-            reverse=True,
-        )
+        def by_degree(kv):
+            d = 0
+            for _, e in kv[0]:
+                d += e
+            return d, kv[0]
+
+        return sorted(self._t.items(), key=by_degree, reverse=True)
 
     def render(self) -> str:
         """Human-readable form like ``3/2*x^2*y - 1``."""
@@ -310,11 +313,13 @@ class MonomialOrder:
     """Block order; degrevlex inside each block, leftmost block dominates.
 
     ``packing`` lays out the order's packed-integer monomials (see
-    ``kernel.Packing``); ``repacking`` makes it wider when a degree
-    outgrows it.
+    ``kernel.Packing``), and ``<`` on them is the order: every comparison,
+    the leading term's included, is made on packed ints.  ``repacking``
+    makes the packing wider when a degree outgrows it.  ``vids`` is the
+    set of the order's variable ids.
     """
 
-    __slots__ = ("blocks", "slots", "width", "registry", "packing")
+    __slots__ = ("blocks", "vids", "registry", "packing")
 
     def __init__(self, blocks, registry=None):
         self.registry = registry if registry is not None else REGISTRY
@@ -328,31 +333,17 @@ class MonomialOrder:
                     raise ValueError("variable repeated across blocks")
                 seen.add(vid)
         self.blocks = cleaned
-        slots = {}
-        base = 0
-        for b in cleaned:
-            n = len(b)
-            for i, vid in enumerate(b):
-                slots[vid] = (base, base + 1 + (n - 1 - i))
-            base += 1 + n
-        self.slots = slots
-        self.width = base
+        self.vids = frozenset(seen)
         self.packing = kernel.Packing(cleaned, _FIELD_BITS)
 
     def _foreign(self, vid):
         name = self.registry.name(vid)
         return ForeignVariable(f"variable {name!r} is not part of this monomial order")
 
-    def key(self, mono):
-        try:
-            return kernel.mono_key(mono, self.slots, self.width)
-        except KeyError as exc:
-            raise self._foreign(exc.args[0]) from None
-
     def check(self, p: Poly):
         """Raise ForeignVariable if p has a variable outside the order."""
         for vid in p.variables():
-            if vid not in self.slots:
+            if vid not in self.vids:
                 raise self._foreign(vid)
 
     def pack_nd(self, terms):
@@ -374,15 +365,12 @@ class MonomialOrder:
                 self.packing = kernel.Packing(self.blocks, 2 * packing.bits)
 
     def leading(self, p: Poly):
-        """(monomial, coefficient) of the leading term; p must be nonzero."""
-        it = iter(p.terms())
-        best_m, best_c = next(it)
-        best_k = self.key(best_m)
-        for m, c in it:
-            k = self.key(m)
-            if k > best_k:
-                best_k, best_m, best_c = k, m, c
-        return best_m, best_c
+        """(monomial, coefficient) of the leading term, the one with the
+        largest packed int; p must be nonzero.  Raises ForeignVariable for
+        a variable outside the order."""
+        nd, known = self.repacking(lambda _: self.pack_nd(p._t))
+        m = known[max(nd)]
+        return m, p._t[m]
 
     def monic(self, p: Poly) -> Poly:
         if p.is_zero():

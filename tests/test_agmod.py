@@ -13,7 +13,8 @@ from gring.agmod import (
     triple,
     vec,
 )
-from gring.errors import GringError
+from gring.errors import GringError, InvalidInstance
+from gring.identities import run_identity_suite
 from gring.poly import Poly
 from gring.ring import build_KF
 from gring.words import Word, parse_word
@@ -202,3 +203,11 @@ def test_render(r3):
     v1 = AElem.basis_v(r3, 1)
     assert "v1" in v1.render()
     assert AElem.zero(r3).render() == "0"
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"pool_size": 0}, {"n": 0}, {"max_len": -1}]
+)
+def test_identity_suite_rejects_out_of_range(kwargs):
+    with pytest.raises(InvalidInstance):
+        run_identity_suite(**kwargs)

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from gring.cli import main
 
 
@@ -262,3 +264,47 @@ def test_word_parse_error(capsys):
     )
     assert code == 1
     assert "g9" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sw", "probe", "--c0", "abc"),
+        ("sw", "probe", "--c2", "1/0"),
+        ("ring", "describe", "--file", "{missing}"),
+        ("ideal", "hash", "--file", "{missing}"),
+        ("normalgen", "--file", "{missing}", "--words", "g1"),
+        ("ring", "describe", "--file", "{tmp}"),
+        ("ring", "describe", "--file", "{binary}"),
+        ("oracle", "fuzz", "--gens", "0"),
+        ("oracle", "fuzz", "--height", "0"),
+        ("oracle", "fuzz", "--max-len", "-1"),
+        ("oracle", "fuzz", "--trials", "-1"),
+        ("sw", "probe", "--trials", "-1"),
+        ("identity", "selftest", "--pool", "0"),
+    ],
+    ids=[
+        "c0-not-a-number",
+        "c2-zero-denominator",
+        "describe-missing-file",
+        "ideal-missing-file",
+        "normalgen-missing-file",
+        "file-is-a-directory",
+        "file-not-utf8",
+        "fuzz-no-generators",
+        "fuzz-zero-height",
+        "fuzz-negative-length",
+        "fuzz-negative-trials",
+        "probe-negative-trials",
+        "selftest-empty-pool",
+    ],
+)
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff<g1|>")
+    argv = [a.format(missing=missing, tmp=tmp_path, binary=binary) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")

@@ -13,6 +13,10 @@ works on packed-integer monomials; the reference keeps tuple monomials,
 with frozen copies of the tuple-monomial kernel helpers the engine no
 longer uses (``reference_reduce_nd`` and its helpers), and its reductions
 count on the same counter as the engine's ``kernel.reduce_nd`` calls.
+The order comparisons of the reference use a frozen copy of the tuple
+key that ``MonomialOrder`` once kept next to its packing (``order_slots``,
+``mono_key``, ``mono_deg``); the other differential and packing tests
+import these copies from here.
 
 Inputs are recorded from the ring constructions and ideal bases gring
 builds: the properness ideals of ``sw_elements`` in A(r,s,t), the relation
@@ -33,6 +37,36 @@ from gring.groebner import GroebnerBasis, buchberger
 from gring.ideals import bullet_generators, hash_generators, hashhash_generators
 from gring.poly import Poly
 from gring.words import Word
+
+
+def order_slots(order):
+    """Layout of ``order``'s tuple key: a map from variable id to its
+    (degree slot, exponent slot), and the key width."""
+    slots = {}
+    base = 0
+    for b in order.blocks:
+        n = len(b)
+        for i, vid in enumerate(b):
+            slots[vid] = (base, base + 1 + (n - 1 - i))
+        base += 1 + n
+    return slots, base
+
+
+def mono_key(m, slots, width):
+    """Flat comparison key; lexicographically bigger = bigger monomial."""
+    k = [0] * width
+    for vid, e in m:
+        ds, es = slots[vid]
+        k[ds] += e
+        k[es] = -e
+    return tuple(k)
+
+
+def mono_deg(a):
+    d = 0
+    for _, e in a:
+        d += e
+    return d
 
 
 def mono_neg_key(m, slots, width):
@@ -135,8 +169,11 @@ def reference_reduce_nd(p, reducers, slots, width):
 def reference_buchberger(gens, order, finish_started=lambda: None):
     """The engine before the support-bitmask prefilter (frozen copy);
     ``finish_started`` is called where the interreduction begins."""
-    slots, width = order.slots, order.width
+    slots, width = order_slots(order)
     registry = order.registry
+
+    def lead_key(p):
+        return max(mono_key(m, slots, width) for m in p._t)
 
     basis = []  # append-only: (lead_mono, monic dict, sugar, lead_key)
     reducers = []  # sorted [(lead_key, lead_mono, tail)], leads pairwise
@@ -154,23 +191,23 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
 
     def add_element(d):
         """Monic-normalize, install as basis element, update pair queue."""
-        lm = max(d, key=lambda m: kernel.mono_key(m, slots, width))
+        lm = max(d, key=lambda m: mono_key(m, slots, width))
         d = kernel.nd_monic(d, lm)
         k = len(basis)
-        key_k = kernel.mono_key(lm, slots, width)
-        sugar_k = max(kernel.mono_deg(m) for m in d)
+        key_k = mono_key(lm, slots, width)
+        sugar_k = max(mono_deg(m) for m in d)
         basis.append((lm, d, sugar_k, key_k))
         for i in range(k):
             lmi, _, sugar_i, _ = basis[i]
             if mono_coprime(lmi, lm):
                 continue  # product criterion: the S-pair reduces to zero
             lcm = kernel.mono_lcm(lmi, lm)
-            dl = kernel.mono_deg(lcm)
+            dl = mono_deg(lcm)
             sug = max(
-                sugar_i + dl - kernel.mono_deg(lmi),
-                sugar_k + dl - kernel.mono_deg(lm),
+                sugar_i + dl - mono_deg(lmi),
+                sugar_k + dl - mono_deg(lm),
             )
-            heappush(pairs, (sug, kernel.mono_key(lcm, slots, width), i, k))
+            heappush(pairs, (sug, mono_key(lcm, slots, width), i, k))
             pending.add((i, k))
         # the new lead retires any reducer it divides (stale entries keep
         # serving the pair bookkeeping, just not reductions)
@@ -184,7 +221,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
 
     seeds = sorted(
         (g for g in gens if not g.is_zero()),
-        key=lambda g: order.key(order.leading(g)[0]),
+        key=lead_key,
     )
     for g in seeds:
         r = reduce_full(nd_from_frac(g._t))
@@ -249,7 +286,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
     polys = [
         Poly._raw(nd_to_frac(d), registry) for _, d in final
     ]
-    polys.sort(key=lambda p: order.key(order.leading(p)[0]))
+    polys.sort(key=lead_key)
     return GroebnerBasis(polys, order)
 
 

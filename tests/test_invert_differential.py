@@ -11,8 +11,7 @@ Inputs: every ``invert`` call ``boyer_certificate`` makes over the
 benchmark's certify grid for seeded words, the three sine inverses of the
 five properness rings, and seeded sparse elements of E(s,t).  The engine
 now works on packed-integer monomials; the reference keeps tuple monomials,
-with frozen copies of the tuple-monomial helpers ``mono_neg_key`` and
-``mono_coprime`` that the kernel no longer has.
+with the frozen tuple-monomial helpers of ``test_engine_differential``.
 """
 
 import random
@@ -27,29 +26,13 @@ from gring.errors import NotAUnit
 from gring.poly import REGISTRY, Poly
 from gring.words import Word
 
-
-def mono_neg_key(m, slots, width):
-    k = [0] * width
-    for vid, e in m:
-        ds, es = slots[vid]
-        k[ds] -= e
-        k[es] = e
-    return tuple(k)
-
-
-def mono_coprime(a, b):
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va = a[i][0]
-        vb = b[j][0]
-        if va == vb:
-            return False
-        if va < vb:
-            i += 1
-        else:
-            j += 1
-    return True
+from test_engine_differential import (
+    mono_coprime,
+    mono_deg,
+    mono_key,
+    mono_neg_key,
+    order_slots,
+)
 
 
 def _mul_mono(p, mono, coeff):
@@ -57,7 +40,7 @@ def _mul_mono(p, mono, coeff):
 
 
 def _cof_reduce(p, rep, basis, order):
-    slots, width = order.slots, order.width
+    slots, width = order_slots(order)
     work = dict(p)
     out = {}
     rep = [dict(r) for r in rep]
@@ -125,7 +108,7 @@ def _cof_finish(basis, registry):
 
 def reference_groebner_with_cofactors(gens, order):
     """The cofactor engine before it was folded into buchberger."""
-    slots, width = order.slots, order.width
+    slots, width = order_slots(order)
     registry = order.registry
     n = len(gens)
     basis = []  # (lead, lead_coeff, dict, rep)
@@ -133,7 +116,7 @@ def reference_groebner_with_cofactors(gens, order):
     pending = set()
 
     def add(d, rep):
-        lm = max(d, key=lambda m: kernel.mono_key(m, slots, width))
+        lm = max(d, key=lambda m: mono_key(m, slots, width))
         basis.append((lm, d[lm], d, rep))
         k = len(basis) - 1
         for i in range(k):
@@ -143,7 +126,7 @@ def reference_groebner_with_cofactors(gens, order):
             lcm = kernel.mono_lcm(lmi, lm)
             heappush(
                 pairs,
-                (kernel.mono_deg(lcm), kernel.mono_key(lcm, slots, width), i, k),
+                (mono_deg(lcm), mono_key(lcm, slots, width), i, k),
             )
             pending.add((i, k))
 

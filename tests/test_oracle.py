@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gring.agmod import bracket, dot, embed_word
-from gring.errors import ForeignVariable, GringError
+from gring.errors import ForeignVariable, GringError, InvalidInstance
 from gring.oracle import (
     EvalPoint,
     Quaternion,
@@ -207,6 +207,21 @@ def test_fuzz_bar_small_run():
     assert rep.seed == 123
     d = rep.to_dict()
     assert d["ok"] and d["trials"] == 40
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 0},
+        {"height": 0},
+        {"height": -3},
+        {"max_word_length": -1},
+        {"trials": -1},
+    ],
+)
+def test_fuzz_bar_rejects_out_of_range(kwargs):
+    with pytest.raises(InvalidInstance):
+        fuzz_bar(**{"trials": 1, **kwargs})
 
 
 def test_fuzz_report_shape():

@@ -2,9 +2,11 @@
 
 For a single-block degrevlex order and KF3's two-block order, seeded random
 monomials check that packing round-trips, that ``<`` on packed ints is
-``MonomialOrder.key``'s order, that ``+`` is ``mono_mul``, that the
-guard-bit test and ``m - l`` are ``mono_div``, and that ``Packing.lcm`` is
-``mono_lcm``; a field passing its guard bit must be detected, never wrap.
+the order of the frozen tuple key ``mono_key``, that ``+`` is ``mono_mul``,
+that the guard-bit test and ``m - l`` are ``mono_div``, and that
+``Packing.lcm`` is ``mono_lcm``; a field passing its guard bit must be
+detected, never wrap.  Seeded random polynomials check that
+``MonomialOrder.leading`` picks the term with the largest tuple key.
 The overflow tests run the engine past the initial field width, and from
 the narrowest width, and compare with the tuple-monomial reference engine.
 """
@@ -18,8 +20,11 @@ from gring.groebner import buchberger
 from gring.poly import Poly, VariableRegistry, degrevlex
 
 from test_engine_differential import (
+    mono_deg,
+    mono_key,
     nd_from_frac,
     nd_to_frac,
+    order_slots,
     reference_buchberger,
     reference_reduce_nd,
 )
@@ -75,8 +80,9 @@ def test_packed_ops_match_tuple_ops(name, data):
     pa, pb = _pack(order, a), _pack(order, b)
 
     assert pk.unpack(pa) == a and pk.unpack(pb) == b
-    assert pk.degree(pa) == kernel.mono_deg(a)
-    assert (pa < pb) == (order.key(a) < order.key(b))
+    slots, width = order_slots(order)
+    assert pk.degree(pa) == mono_deg(a)
+    assert (pa < pb) == (mono_key(a, slots, width) < mono_key(b, slots, width))
     assert (pa == pb) == (a == b)
 
     prod = kernel.mono_mul(a, b)
@@ -96,6 +102,31 @@ def test_packed_ops_match_tuple_ops(name, data):
     else:
         with pytest.raises(kernel.FieldOverflow):
             pk.lcm(pa, pb)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_leading_is_largest_tuple_key(name, data):
+    order = ORDERS[name]()
+    slots, width = order_slots(order)
+    monos = data.draw(st.lists(monomials(order), min_size=1, max_size=8, unique=True))
+    coeffs = data.draw(
+        st.lists(st.integers(1, 9), min_size=len(monos), max_size=len(monos))
+    )
+    p = Poly._raw(dict(zip(monos, coeffs)), order.registry)
+    want = max(monos, key=lambda m: mono_key(m, slots, width))
+    assert order.leading(p) == (want, p._t[want])
+
+
+def test_leading_widens_the_packing():
+    kf = ring.KFRing(3)  # a fresh order, at the initial width
+    bits = kf.order.packing.bits
+    lam1 = kf.lam(1)
+    lead, c = kf.order.leading(lam1**200 + kf.lam(2) * kf.lam(3))
+    assert Poly._raw({lead: c}, kf.registry) == lam1**200
+    assert kf.order.packing.bits > bits
 
 
 def test_pack_rejects_too_big_degree():
@@ -157,6 +188,6 @@ def test_narrowest_width_gives_reference_bases(monkeypatch):
         del tail[lm]
         reducers.append((lm, tail))
     want = reference_reduce_nd(
-        nd_from_frac(p._t), reducers, kf.order.slots, kf.order.width
+        nd_from_frac(p._t), reducers, *order_slots(kf.order)
     )
     assert got._t == nd_to_frac(want)
