@@ -39,6 +39,11 @@ class ForeignVariable(GringError):
     """A polynomial mentions a variable outside the expected variable set."""
 
 
+class ExponentOverflow(GringError):
+    """A monomial's exponent does not fit its ``Poly`` field (see
+    ``kernel.EXP_MAX``)."""
+
+
 class NotAUnit(GringError):
     """Requested inverse of an element that is not a unit in its ring."""
 

@@ -5,25 +5,25 @@ pruned and sorted by leading monomial, and candidate pairs are filtered by
 the product and chain criteria.  Coefficients stay exact, so equality of
 ideals and normal forms are exact statements.
 
-Inside the engine every monomial is one packed Python int (the layout is
-described in ``kernel``): a product is ``a + b``, the monomial order is
-``<`` on the ints, a lead ``l`` divides ``m`` exactly when
-``((m | G) - l) & G == G`` for the packing's guard mask ``G``, and the
-quotient is then ``m - l``.  The pair heap is keyed on the packed lcm
-itself.  Input polynomials are packed on entry and results unpacked on
-exit, so ``Poly`` and every caller keep tuple monomials.  A product whose
-degree outgrows the packing's fields raises ``kernel.FieldOverflow``; the
-order then repacks wider and the computation starts over, so an overflow
-never gives a wrong result.
+Inside the engine every monomial is one Python int in the order's own
+``kernel.Packing`` layout (described in ``kernel``): a product is
+``a + b``, the monomial order is ``<`` on the ints, a lead ``l`` divides
+``m`` exactly when ``((m | G) - l) & G == G`` for the packing's guard
+mask ``G``, and the quotient is then ``m - l``.  The pair heap is keyed on
+the packed lcm itself.  ``Poly`` monomials, also ints but in the registry
+layout, are converted on entry and on exit.  A product whose degree
+outgrows the packing's fields raises ``kernel.FieldOverflow``; the order
+then repacks wider and the computation starts over, so an overflow never
+gives a wrong result.
 
 Divisibility tests in the chain criterion are prefiltered.  Next to each
-basis element the engine keeps its lead's support bitmask (the OR of
-``1 << vid`` over its variables) and total degree.  A lead ``t`` can only
-divide ``m`` when its mask has no bit outside ``m``'s mask and its degree
-is at most ``m``'s (the "short exponent vector" of Bachmann & Schoenemann,
-ISSAC '98).  The chain-criterion scan applies that test first and the
-guard-bit test only to the leads that pass, which is faster than the
-guard-bit test alone.
+basis element the engine keeps its lead's support bitmask
+(``Packing.support``, one bit per variable of the order) and total degree.
+A lead ``t`` can only divide ``m`` when its mask has no bit outside
+``m``'s mask and its degree is at most ``m``'s (the "short exponent
+vector" of Bachmann & Schoenemann, ISSAC '98).  The chain-criterion scan
+applies that test first and the guard-bit test only to the leads that
+pass, which is faster than the guard-bit test alone.
 
 Unit certificates come from the same engine.  With ``cofactor=True`` each
 element also carries its cofactor of the last generator, the only one an
@@ -96,7 +96,7 @@ class GroebnerBasis:
         def run(packing):
             d, known = self.order.pack_nd(p._t)
             r = kernel.reduce_nd(d, self._reducers(packing), packing.guard)
-            # terms the reduction left alone keep their tuple monomials
+            # terms the reduction left alone keep their Poly monomials
             return Poly._raw(packing.to_frac(r, known), p.registry)
 
         return self.order.repacking(run)
@@ -162,7 +162,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
     stats = dict.fromkeys(STATS, 0)
 
     basis = []  # append-only: (lead, monic dict, sugar)
-    lead_mask = []  # parallel to basis: OR of 1 << vid over the lead
+    lead_mask = []  # parallel to basis: support bitmask of the lead
     lead_deg = []  # parallel to basis: total degree of the lead
     cof_of = {}  # with ``cofactor``: lead -> cofactor of gens[-1]
     reducers = []  # sorted [(lead, tail)], leads pairwise non-divisible:
@@ -201,9 +201,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         stats["elements_added"] += 1
         stats["pairs"] += k
         sugar_k = max(degree(m) for m in d)
-        mask_k = 0
-        for v, _ in packing.unpack(lm):
-            mask_k |= 1 << v
+        mask_k = packing.support(lm)
         deg_k = degree(lm)
         basis.append((lm, d, sugar_k))
         lead_mask.append(mask_k)
@@ -231,7 +229,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         gb.cofactor = Poly._raw(packing.to_frac(cof_of[0]), registry)
         return gb
 
-    known = {}  # packed -> tuple monomial of the generators' terms
+    known = {}  # packed -> Poly monomial of the generators' terms
     packed = []
     for g in gens:
         d, kn = order.pack_nd(g._t)

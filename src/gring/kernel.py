@@ -1,22 +1,24 @@
 """The hot polynomial loops.
 
-Polynomial arithmetic works on tuple monomials: tuples of
-``(variable_id, exponent)`` pairs sorted by id with strictly positive
-exponents; polynomials at this level are plain dicts mapping monomial to
-coefficient.
+A monomial is one Python int throughout.  ``Poly`` stores a coefficient
+dict keyed by monomials in the registry layout: variable ``vid`` owns the
+``EXP_BITS``-wide field at bit ``vid * EXP_BITS``, whose top bit is a
+guard bit that a valid monomial leaves clear, so an exponent is at most
+``EXP_MAX``.  The constant monomial is ``0``.  The product of two
+monomials is their sum: fields of at most ``EXP_MAX`` never carry into
+the next one, and a guard bit that comes on is an exponent overflow.
 
-Reduction works on packed monomials: one Python int per monomial, laid out
-by a ``Packing`` for one block order.  The int is a row of ``bits``-wide
-fields, two per variable; the top bit of each field is a guard bit that a
-valid monomial leaves clear.  The low half holds the exponents: each block
-``v_1..v_k`` has ``k`` adjacent fields with ``e_1`` lowest, and the
-leftmost block lies highest.  The high half holds the order key in the
-same block layout: the prefix sums ``P_i = e_1 + ... + e_i``, so that
-``P_k``, the block degree, is each block's most significant field.
-Degrevlex in a block compares the degree, then prefers the smaller
-``e_k``, then the smaller ``e_{k-1}``..., which is comparing ``P_k,
-P_{k-1}, ...`` in turn; so ``<`` on the ints is the block order.  Every
-field is linear in the exponents, hence:
+Reduction works on a second layout, a ``Packing`` made for one block
+order.  The int is a row of ``bits``-wide fields, two per variable; the
+top bit of each field is again a guard bit.  The low half holds the
+exponents: each block ``v_1..v_k`` has ``k`` adjacent fields with ``e_1``
+lowest, and the leftmost block lies highest.  The high half holds the
+order key in the same block layout: the prefix sums ``P_i = e_1 + ... +
+e_i``, so that ``P_k``, the block degree, is each block's most
+significant field.  Degrevlex in a block compares the degree, then
+prefers the smaller ``e_k``, then the smaller ``e_{k-1}``..., which is
+comparing ``P_k, P_{k-1}, ...`` in turn; so ``<`` on the ints is the
+block order.  Every field is linear in the exponents, hence:
 
 * the product of ``a`` and ``b`` is ``a + b``; a field passing its guard
   bit raises ``FieldOverflow`` and the caller repacks wider;
@@ -27,15 +29,26 @@ field is linear in the exponents, hence:
   guard-bit trick, and rebuilds each block's key with one multiplication
   by ``1 + 2^bits + 2^(2 bits) + ...``, which sums the prefixes.
 
-Coefficients in the reduction loops are normalized ``(num, den)`` pairs.
+``Packing.pack_nd`` and ``Packing.to_frac`` convert between the two
+layouts on the way into and out of the engine.  Coefficients in the
+reduction loops are normalized ``(num, den)`` pairs.
 
-No function here calls ``reduce_nd``, ``mono_div`` or ``mono_lcm``, so a
-run-time tracer that wraps those names sees only the calls from outside.
+No function here calls ``reduce_nd``, so a run-time tracer that wraps that
+name sees only the calls from outside.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+
+from .errors import ExponentOverflow
+
+#: Width in bits, guard bit included, of a variable's field in a ``Poly``
+#: monomial, the mask of one field, and the largest exponent it holds.
+EXP_BITS = 16
+EXP_MASK = (1 << EXP_BITS) - 1
+EXP_MAX = (1 << (EXP_BITS - 1)) - 1
+_OVERFLOW = f"an exponent exceeds {EXP_MAX}"
 
 
 def backend() -> str:
@@ -53,6 +66,7 @@ class Packing:
     __slots__ = (
         "bits",
         "guard",
+        "outside",
         "_fmask",
         "_unit",
         "_fields",
@@ -73,7 +87,7 @@ class Packing:
         self._exp_guard = self.guard & self._exp_mask
         self._blocks = []  # (shift, mask, prefix-sum multiplier, key shift)
         self._degs = []  # bit offset of each block's degree field
-        fields = []  # (vid, bit offset of its exponent field)
+        fields = []  # (vid, bit offset of its exponent field), ascending
         shift = 0
         for b in reversed(blocks):  # the leftmost block ends up on top
             size = len(b)
@@ -83,8 +97,15 @@ class Packing:
             self._degs.append(shift + ebits + (size - 1) * bits)
             fields.extend((vid, shift + i * bits) for i, vid in enumerate(b))
             shift += size * bits
-        self._fields = sorted(fields)
-        self._unit = {vid: self._with_key(1 << s) for vid, s in fields}
+        # (bit offset of the variable's Poly field, of its exponent field)
+        self._fields = [(vid * EXP_BITS, s) for vid, s in fields]
+        # by variable id: the packed monomial of the variable, 0 outside
+        # the order
+        self._unit = [0] * (max(vid for vid, _ in fields) + 1)
+        for vid, s in fields:
+            self._unit[vid] = self._with_key(1 << s)
+        #: the Poly monomial bits of variables outside the order
+        self.outside = ~sum(EXP_MASK << (vid * EXP_BITS) for vid, _ in fields)
 
     def _with_key(self, e):
         """Exponent fields ``e`` plus the order key they determine."""
@@ -93,21 +114,29 @@ class Packing:
         return e
 
     def pack_nd(self, terms):
-        """Packed (num, den) pair dict of a coefficient dict, and a map from
-        each packed monomial back to its tuple.
+        """Packed (num, den) pair dict of a ``Poly`` coefficient dict, and a
+        map from each packed monomial back to its ``Poly`` monomial.
 
-        Raises KeyError with the id of a variable outside the order, and
-        FieldOverflow when a block degree does not fit.  The guard bits
-        tell that exactly while no field carries into the next, which holds
-        below a total degree of ``2^bits``.
+        Raises KeyError with a monomial that has a variable outside the
+        order, and FieldOverflow when a block degree does not fit.  The
+        guard bits tell that exactly while no field carries into the next,
+        which holds below a total degree of ``2^bits``.
         """
-        unit, guard, limit = self._unit, self.guard, self._fmask + 1
+        unit, guard, outside = self._unit, self.guard, self.outside
+        limit = self._fmask + 1
         nd = {}
         known = {}
         for m, c in terms.items():
+            if m & outside:
+                raise KeyError(m)
             x = d = 0
-            for v, e in m:
-                x += e * unit[v]
+            r = m
+            while r:  # one step per variable of m
+                s = (r & -r).bit_length() - 1
+                s -= s % EXP_BITS  # the lowest nonzero field of r
+                e = r >> s & EXP_MASK
+                r -= e << s
+                x += e * unit[s // EXP_BITS]
                 d += e
             if d >= limit or x & guard:
                 raise FieldOverflow
@@ -115,21 +144,35 @@ class Packing:
             known[x] = m
         return nd, known
 
-    def unpack(self, x):
-        """Tuple monomial of the packed ``x``."""
-        fmask = self._fmask
-        return tuple([(v, e) for v, s in self._fields if (e := x >> s & fmask)])
-
     def to_frac(self, nd, known=None):
-        """Coefficient dict (tuple monomials, ``int`` when den is 1) of a
-        packed (num, den) dict; monomials found in ``known`` are reused."""
+        """``Poly`` coefficient dict (``int`` when den is 1) of a packed
+        (num, den) dict; monomials found in ``known`` are reused.  Raises
+        ExponentOverflow for an exponent past ``EXP_MAX``, which the
+        packing's fields can hold once they are wider than ``EXP_BITS``."""
         known = known or {}
-        unpack = self.unpack
+        fields, fmask = self._fields, self._fmask
         out = {}
         for x, (n, d) in nd.items():
             m = known.get(x)
-            out[unpack(x) if m is None else m] = n if d == 1 else Fraction(n, d)
+            if m is None:
+                m = 0
+                for ps, s in fields:
+                    e = x >> s & fmask
+                    if e > EXP_MAX:
+                        raise ExponentOverflow(_OVERFLOW)
+                    m += e << ps
+            out[m] = n if d == 1 else Fraction(n, d)
         return out
+
+    def support(self, x):
+        """Bitmask of the packed ``x``'s variables: bit ``i`` stands for
+        the ``i``-th exponent field."""
+        fmask = self._fmask
+        mask = 0
+        for i, (_, s) in enumerate(self._fields):
+            if x >> s & fmask:
+                mask |= 1 << i
+        return mask
 
     def lcm(self, a, b):
         """lcm of the packed ``a`` and ``b``; FieldOverflow if it does not
@@ -153,82 +196,6 @@ class Packing:
         return d
 
 
-def mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def mono_div(a, b):
-    """Return a/b as a monomial, or None when b does not divide a."""
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while j < lb:
-        if i >= la:
-            return None
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif va > vb:
-            return None
-        else:
-            if ea < eb:
-                return None
-            if ea > eb:
-                out.append((va, ea - eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    return tuple(out)
-
-
-def mono_lcm(a, b):
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea if ea >= eb else eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
@@ -244,15 +211,21 @@ def poly_add(p, q):
     return out
 
 
-def poly_mul(p, q):
+def poly_mul(p, q, guard):
+    """Product of two ``Poly`` coefficient dicts; ``guard`` holds the guard
+    bits of every field in use.  Raises ExponentOverflow past ``EXP_MAX``."""
     if len(p) > len(q):
         p, q = q, p
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            nm = mono_mul(m1, m2)
+            nm = m1 + m2
             prev = out.get(nm)
             if prev is None:
+                # an overflowed product has a guard bit set, so it is
+                # never already present: checking new terms is enough
+                if nm & guard:
+                    raise ExponentOverflow(_OVERFLOW)
                 out[nm] = c1 * c2
             else:
                 s = prev + c1 * c2

@@ -6,6 +6,11 @@ a true fraction.  The two compare, hash and print alike, so every equality
 test in the package is exact and no coefficient is ever a float.
 Variables live in an append-only registry that hands out stable integer
 ids, letting polynomials built in different modules compose.
+A monomial is one int with a field per registry variable (see ``kernel``);
+an exponent past ``kernel.EXP_MAX`` raises ``ExponentOverflow``.  The
+public view is tuples of ``(variable_id, exponent)`` pairs sorted by id:
+``Poly(terms)`` takes them, summing keys that name one monomial, and
+``terms()`` and ``MonomialOrder.leading`` return them.
 Monomial orders are block orders with degree-reverse-lexicographic
 comparison inside each block; a single block gives plain degrevlex and a
 leading singleton block gives the elimination orders used downstream.
@@ -17,7 +22,9 @@ import re
 from fractions import Fraction
 
 from . import kernel
-from .errors import ForeignVariable, MalformedSyntax, MismatchedRegistry
+from .errors import ExponentOverflow, ForeignVariable
+from .errors import MalformedSyntax, MismatchedRegistry
+from .kernel import EXP_BITS, EXP_MASK, EXP_MAX
 
 Rational = Fraction
 
@@ -32,6 +39,7 @@ class VariableRegistry:
     def __init__(self):
         self._names = []
         self._ids = {}
+        self.guard = 0  # the guard bits of every variable's monomial field
 
     def var(self, name: str) -> int:
         """Id of ``name``, creating the variable on first use."""
@@ -42,6 +50,7 @@ class VariableRegistry:
             vid = len(self._names)
             self._names.append(name)
             self._ids[name] = vid
+            self.guard |= 1 << (vid * EXP_BITS + EXP_BITS - 1)
         return vid
 
     def lookup(self, name: str) -> int:
@@ -78,6 +87,35 @@ def _coeff(c) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c)!r}")
 
 
+def _pack(mono, registry) -> int:
+    """Packed monomial of (variable id, exponent) pairs in any order; the
+    exponents of a repeated variable add up."""
+    m = 0
+    for vid, e in mono:
+        if not 0 <= vid < len(registry):
+            raise ForeignVariable(f"unknown variable id {vid!r}")
+        if e < 0:
+            raise ValueError(f"negative exponent of {registry.name(vid)!r}")
+        m += e << (vid * EXP_BITS)
+        if e > EXP_MAX or m & registry.guard:
+            name = registry.name(vid)
+            raise ExponentOverflow(f"exponent of {name!r} exceeds {EXP_MAX}")
+    return m
+
+
+def _unpack(m) -> tuple:
+    """Tuple monomial of the packed ``m``."""
+    out = []
+    vid = 0
+    while m:
+        e = m & EXP_MASK
+        if e:
+            out.append((vid, e))
+        m >>= EXP_BITS
+        vid += 1
+    return tuple(out)
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -87,10 +125,9 @@ class Poly:
         self.registry = registry if registry is not None else REGISTRY
         t = {}
         for mono, c in dict(terms).items():
-            c = _coeff(c)
-            if c:
-                t[mono] = c
-        self._t = t
+            m = _pack(mono, self.registry)
+            t[m] = t.get(m, 0) + _coeff(c)
+        self._t = {m: _coeff(c) for m, c in t.items() if c}
 
     @classmethod
     def _raw(cls, terms: dict, registry) -> "Poly":
@@ -107,7 +144,7 @@ class Poly:
     def const(cls, c, registry=None) -> "Poly":
         c = _coeff(c)
         reg = registry if registry is not None else REGISTRY
-        return cls._raw({(): c} if c else {}, reg)
+        return cls._raw({0: c} if c else {}, reg)
 
     @classmethod
     def one(cls, registry=None) -> "Poly":
@@ -117,57 +154,46 @@ class Poly:
     def variable(cls, name: str, registry=None) -> "Poly":
         reg = registry if registry is not None else REGISTRY
         vid = reg.var(name)
-        return cls._raw({((vid, 1),): 1}, reg)
+        return cls._raw({1 << (vid * EXP_BITS): 1}, reg)
 
     # -- inspection ----------------------------------------------------
 
     def terms(self):
-        """Iterable of (monomial, coefficient) pairs (no fixed order)."""
-        return self._t.items()
+        """List of (tuple monomial, coefficient) pairs (no fixed order)."""
+        return [(_unpack(m), c) for m, c in self._t.items()]
 
     def is_zero(self) -> bool:
         return not self._t
 
     def is_constant(self) -> bool:
-        return not self._t or (len(self._t) == 1 and () in self._t)
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def constant_term(self) -> int | Fraction:
-        return self._t.get((), 0)
+        return self._t.get(0, 0)
 
     def variables(self):
         """Sorted ids of the variables that actually occur."""
-        seen = set()
+        acc = 0
         for m in self._t:
-            for vid, _ in m:
-                seen.add(vid)
-        return sorted(seen)
+            acc |= m
+        return [vid for vid, _ in _unpack(acc)]
+
+    def _shift(self, v) -> int:
+        """Bit offset of the field of ``v``, a name or id."""
+        return (self.registry.lookup(v) if isinstance(v, str) else v) * EXP_BITS
 
     def degree_in(self, v):
         """Largest exponent of ``v`` (a name or id); -inf for the zero poly."""
-        vid = self.registry.lookup(v) if isinstance(v, str) else v
+        s = self._shift(v)
         if not self._t:
             return NEG_INF
-        best = 0
-        for m in self._t:
-            for w, e in m:
-                if w == vid and e > best:
-                    best = e
-        return best
+        return max(m >> s & EXP_MASK for m in self._t)
 
     def coefficient_in(self, v, k: int) -> "Poly":
         """Coefficient of ``v**k`` as a polynomial in the other variables."""
-        vid = self.registry.lookup(v) if isinstance(v, str) else v
-        out = {}
-        for m, c in self._t.items():
-            e = 0
-            rest = []
-            for w, ee in m:
-                if w == vid:
-                    e = ee
-                else:
-                    rest.append((w, ee))
-            if e == k:
-                out[tuple(rest)] = c
+        s = self._shift(v)
+        field, want = EXP_MASK << s, k << s
+        out = {m - want: c for m, c in self._t.items() if m & field == want}
         return Poly._raw(out, self.registry)
 
     # -- arithmetic ----------------------------------------------------
@@ -206,7 +232,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return Poly._raw(kernel.poly_mul(self._t, other._t), self.registry)
+        t = kernel.poly_mul(self._t, other._t, self.registry.guard)
+        return Poly._raw(t, self.registry)
 
     __rmul__ = __mul__
 
@@ -242,24 +269,22 @@ class Poly:
         unassigned variables pass through unchanged.
         """
         amap = {}
+        assigned = 0  # the fields of the assigned variables
         for key, val in assignment.items():
-            vid = self.registry.lookup(key) if isinstance(key, str) else key
+            s = self._shift(key)
             if not isinstance(val, Poly):
                 val = Poly.const(val, self.registry)
             self._check(val)
-            amap[vid] = val
+            amap[s] = val
+            assigned |= EXP_MASK << s
+        guard = self.registry.guard
         out = {}
         for m, c in self._t.items():
-            fixed = []
-            factors = []
-            for vid, e in m:
-                if vid in amap:
-                    factors.append((amap[vid], e))
-                else:
-                    fixed.append((vid, e))
-            term = {tuple(fixed): c}
-            for p, e in factors:
-                term = kernel.poly_mul(term, (p ** e)._t)
+            term = {m & ~assigned: c}
+            for s, p in amap.items():
+                e = m >> s & EXP_MASK
+                if e:
+                    term = kernel.poly_mul(term, (p ** e)._t, guard)
             out = kernel.poly_add(out, term)
         return Poly._raw(out, self.registry)
 
@@ -272,7 +297,7 @@ class Poly:
                 d += e
             return d, kv[0]
 
-        return sorted(self._t.items(), key=by_degree, reverse=True)
+        return sorted(self.terms(), key=by_degree, reverse=True)
 
     def render(self) -> str:
         """Human-readable form like ``3/2*x^2*y - 1``."""
@@ -315,11 +340,10 @@ class MonomialOrder:
     ``packing`` lays out the order's packed-integer monomials (see
     ``kernel.Packing``), and ``<`` on them is the order: every comparison,
     the leading term's included, is made on packed ints.  ``repacking``
-    makes the packing wider when a degree outgrows it.  ``vids`` is the
-    set of the order's variable ids.
+    makes the packing wider when a degree outgrows it.
     """
 
-    __slots__ = ("blocks", "vids", "registry", "packing")
+    __slots__ = ("blocks", "registry", "packing")
 
     def __init__(self, blocks, registry=None):
         self.registry = registry if registry is not None else REGISTRY
@@ -333,18 +357,23 @@ class MonomialOrder:
                     raise ValueError("variable repeated across blocks")
                 seen.add(vid)
         self.blocks = cleaned
-        self.vids = frozenset(seen)
         self.packing = kernel.Packing(cleaned, _FIELD_BITS)
 
-    def _foreign(self, vid):
+    def _foreign(self, m):
+        """ForeignVariable naming the first variable of the monomial ``m``
+        that lies outside the order."""
+        extra = m & self.packing.outside
+        vid = ((extra & -extra).bit_length() - 1) // EXP_BITS
         name = self.registry.name(vid)
         return ForeignVariable(f"variable {name!r} is not part of this monomial order")
 
     def check(self, p: Poly):
         """Raise ForeignVariable if p has a variable outside the order."""
-        for vid in p.variables():
-            if vid not in self.vids:
-                raise self._foreign(vid)
+        acc = 0
+        for m in p._t:
+            acc |= m
+        if acc & self.packing.outside:
+            raise self._foreign(acc)
 
     def pack_nd(self, terms):
         """``packing.pack_nd(terms)``, raising ForeignVariable for a
@@ -365,12 +394,12 @@ class MonomialOrder:
                 self.packing = kernel.Packing(self.blocks, 2 * packing.bits)
 
     def leading(self, p: Poly):
-        """(monomial, coefficient) of the leading term, the one with the
-        largest packed int; p must be nonzero.  Raises ForeignVariable for
-        a variable outside the order."""
+        """(tuple monomial, coefficient) of the leading term, the one with
+        the largest packed int; p must be nonzero.  Raises ForeignVariable
+        for a variable outside the order."""
         nd, known = self.repacking(lambda _: self.pack_nd(p._t))
         m = known[max(nd)]
-        return m, p._t[m]
+        return _unpack(m), p._t[m]
 
     def monic(self, p: Poly) -> Poly:
         if p.is_zero():
@@ -511,10 +540,8 @@ def chebyshev_like(n: int, registry=None) -> Poly:
     Defined for every integer n; univariate in the distinguished variable.
     """
     reg = registry if registry is not None else REGISTRY
-    vid = reg.var(CHEB_VAR)
-    out = {}
-    for i, c in enumerate(_cheb_coeffs(n)):
-        if c:
-            mono = () if i == 0 else ((vid, i),)
-            out[mono] = c
-    return Poly._raw(out, reg)
+    s = reg.var(CHEB_VAR) * EXP_BITS
+    coeffs = _cheb_coeffs(n)
+    if len(coeffs) > EXP_MAX + 1:
+        raise ExponentOverflow(f"degree {len(coeffs) - 1} exceeds {EXP_MAX}")
+    return Poly._raw({i << s: c for i, c in enumerate(coeffs) if c}, reg)

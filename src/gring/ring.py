@@ -76,28 +76,23 @@ class QuotientRing:
         Counts the staircase monomials (those divisible by no leading
         monomial of the relation basis).
         """
-        from . import kernel
-
-        leads = self.gb.leading_monomials()
-        if any(lm == () for lm in leads):
+        if self.gb.is_unit_ideal():
             return 0
-        caps = {}
-        for v in self.vids:
-            cap = None
-            for lm in leads:
-                if len(lm) == 1 and lm[0][0] == v:
-                    e = lm[0][1]
-                    cap = e if cap is None else min(cap, e)
-            if cap is None:
-                return None  # no pure power of v leads: infinite dimension
-            caps[v] = cap
+        # exponent vectors over self.vids of the leading monomials
+        leads = []
+        for lm in self.gb.leading_monomials():
+            exps = dict(lm)
+            leads.append([exps.get(v, 0) for v in self.vids])
+        caps = []
+        for i in range(len(self.vids)):
+            pure = [lm[i] for lm in leads if sum(lm) == lm[i]]
+            if not pure:
+                return None  # no pure power of the variable leads: infinite
+            caps.append(min(pure))
         count = 0
-        ranges = [range(caps[v]) for v in self.vids]
-        for exps in product(*ranges):
-            mono = tuple(
-                (v, e) for v, e in zip(self.vids, exps) if e
-            )
-            if all(kernel.mono_div(mono, lm) is None for lm in leads):
+        for exps in product(*map(range, caps)):
+            # no lead divides exps: each has some exponent above it
+            if all(any(e < le for e, le in zip(exps, lm)) for lm in leads):
                 count += 1
         return count
 
@@ -162,29 +157,26 @@ class KFRing(QuotientRing):
         reg = registry if registry is not None else REGISTRY
         self.registry = reg  # needed by the symbol helpers below
         self.n = n
-        self._lam = {}
-        self._m = {}
-        self._w = {}
-        symbol_of = {}
-        lam_vids = []
-        for i in range(1, n + 1):
-            vid = reg.var(f"lam{i}")
-            self._lam[i] = vid
-            lam_vids.append(vid)
-            symbol_of[vid] = ("lam", (i,))
-        m_vids = []
-        for i, j in combinations(range(1, n + 1), 2):
-            vid = reg.var(f"m{i}{j}")
-            self._m[(i, j)] = vid
-            m_vids.append(vid)
-            symbol_of[vid] = ("m", (i, j))
-        w_vids = []
-        for i, j, k in combinations(range(1, n + 1), 3):
-            vid = reg.var(f"w{i}{j}{k}")
-            self._w[(i, j, k)] = vid
-            w_vids.append(vid)
-            symbol_of[vid] = ("w", (i, j, k))
-        self.symbol_of = symbol_of
+        self.symbol_of = {}  # vid -> (kind, index tuple)
+        self._var = {}  # vid -> the symbol's Poly, made once
+
+        def symbols(kind, arity):
+            """Index tuple (an int for lam) -> vid of each ``kind`` symbol."""
+            out = {}
+            for idx in combinations(range(1, n + 1), arity):
+                name = kind + "".join(map(str, idx))
+                vid = reg.var(name)
+                self.symbol_of[vid] = (kind, idx)
+                self._var[vid] = Poly.variable(name, reg)
+                out[idx[0] if arity == 1 else idx] = vid
+            return out
+
+        self._lam = symbols("lam", 1)
+        self._m = symbols("m", 2)
+        self._w = symbols("w", 3)
+        lam_vids = list(self._lam.values())
+        m_vids = list(self._m.values())
+        w_vids = list(self._w.values())
         base = tuple(lam_vids + m_vids)
         if w_vids:
             order = block_order(tuple(w_vids), base, registry=reg)
@@ -204,7 +196,7 @@ class KFRing(QuotientRing):
     def lam(self, i: int) -> Poly:
         if not 1 <= i <= self.n:
             raise ForeignVariable(f"generator index {i} out of range")
-        return Poly._raw({((self._lam[i], 1),): 1}, self.registry)
+        return self._var[self._lam[i]]
 
     def m(self, i: int, j: int) -> Poly:
         """Canonical pairwise symbol: m(i,i) rewrites to 1 - lam_i^2."""
@@ -216,7 +208,7 @@ class KFRing(QuotientRing):
             return one - li * li
         if i > j:
             i, j = j, i
-        return Poly._raw({((self._m[(i, j)], 1),): 1}, self.registry)
+        return self._var[self._m[(i, j)]]
 
     def w(self, i: int, j: int, k: int) -> Poly:
         """Fully alternating triple symbol as a signed canonical variable."""
@@ -231,9 +223,7 @@ class KFRing(QuotientRing):
         sign = _perm_sign((i, j, k))
         if sign == 0:
             return 0, Poly.zero(self.registry)
-        key = tuple(sorted((i, j, k)))
-        p = Poly._raw({((self._w[key], 1),): 1}, self.registry)
-        return sign, p
+        return sign, self._var[self._w[tuple(sorted((i, j, k)))]]
 
     def split_w(self, p: Poly):
         """Split a normal form as plain + sum over triples of w_T * rest.
@@ -242,32 +232,20 @@ class KFRing(QuotientRing):
         pair of them leads a defining relation), so the decomposition is a
         plain term split.  Returns (w_free_poly, {triple: cofactor_poly}).
         """
-        if not self._w:
-            return p, {}
-        w_vids = {vid: t for t, vid in self._w.items()}
-        plain = {}
-        by_triple = {}
-        for mono, c in p.terms():
-            hit = None
-            rest = []
-            for vid, e in mono:
-                if vid in w_vids:
-                    if hit is not None or e != 1:
-                        raise AssertionError(
-                            "normal form has degree >= 2 in the w symbols"
-                        )
-                    hit = w_vids[vid]
-                else:
-                    rest.append((vid, e))
-            if hit is None:
-                plain[mono] = c
-            else:
-                by_triple.setdefault(hit, {})[tuple(rest)] = c
-        plain_p = Poly._raw(plain, self.registry)
-        cof = {
-            t: Poly._raw(d, self.registry) for t, d in by_triple.items()
-        }
-        return plain_p, cof
+        plain = p
+        cof = {}
+        present = set(p.variables())
+        for t, vid in self._w.items():
+            if vid not in present:
+                continue
+            c = p.coefficient_in(vid, 1)
+            if p.degree_in(vid) > 1 or any(
+                c.degree_in(u) > 0 for u in self._w.values() if u != vid
+            ):
+                raise AssertionError("normal form has degree >= 2 in the w symbols")
+            cof[t] = c
+            plain = plain.coefficient_in(vid, 0)
+        return plain, cof
 
     # -- defining relations ----------------------------------------------
 

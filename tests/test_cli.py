@@ -258,6 +258,21 @@ def test_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_exponent_overflow_is_an_error(monkeypatch, capsys):
+    from gring import cli
+    from gring.kernel import EXP_MAX
+    from gring.poly import Poly
+
+    def overflowing(*args, **kwargs):
+        return Poly.variable("x") ** (EXP_MAX + 1)
+
+    monkeypatch.setattr(cli, "run_identity_suite", overflowing)
+    code, out, err = run(capsys, "identity", "selftest")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(EXP_MAX) in err
+
+
 def test_word_parse_error(capsys):
     code, _, err = run(
         capsys, "boyer", "--s", "2", "--t", "3", "--r", "2", "--word", "g9"

@@ -120,7 +120,9 @@ def _pair(term_list):
         for name, e in mono.items():
             t = t * Poly.variable(name, reg) ** e
         p = p + t
-    forced = Poly._raw({m: Fraction(c) for m, c in p.terms()}, reg)
+    # the stored dict: the constructors would turn an integral Fraction
+    # back into an int
+    forced = Poly._raw({m: Fraction(c) for m, c in p._t.items()}, reg)
     return p, forced
 
 

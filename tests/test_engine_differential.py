@@ -10,13 +10,16 @@ are counted as calls of ``kernel.reduce_nd`` before the finish: the
 engine's one-pass finish makes one call per element after the first, and
 the reference's fixpoint loop makes at least two passes.  The engine now
 works on packed-integer monomials; the reference keeps tuple monomials,
-with frozen copies of the tuple-monomial kernel helpers the engine no
-longer uses (``reference_reduce_nd`` and its helpers), and its reductions
-count on the same counter as the engine's ``kernel.reduce_nd`` calls.
+with frozen copies of the tuple-monomial kernel that ``Poly`` used before
+it stored packed ints (``mono_mul``, ``mono_div``, ``mono_lcm``,
+``poly_mul``) and of the reduction the engine no longer uses
+(``reference_reduce_nd`` and its helpers), and its reductions count on the
+same counter as the engine's ``kernel.reduce_nd`` calls.  It reads its
+inputs through ``Poly.terms()`` and builds its results with ``Poly(terms)``.
 The order comparisons of the reference use a frozen copy of the tuple
 key that ``MonomialOrder`` once kept next to its packing (``order_slots``,
-``mono_key``, ``mono_deg``); the other differential and packing tests
-import these copies from here.
+``mono_key``, ``mono_deg``); the other differential, packing and
+``Poly`` tests import these copies from here.
 
 Inputs are recorded from the ring constructions and ideal bases gring
 builds: the properness ideals of ``sw_elements`` in A(r,s,t), the relation
@@ -93,6 +96,101 @@ def mono_coprime(a, b):
     return True
 
 
+def mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def mono_div(a, b):
+    """Return a/b as a monomial, or None when b does not divide a."""
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while j < lb:
+        if i >= la:
+            return None
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif va > vb:
+            return None
+        else:
+            if ea < eb:
+                return None
+            if ea > eb:
+                out.append((va, ea - eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    return tuple(out)
+
+
+def mono_lcm(a, b):
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea if ea >= eb else eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def poly_mul(p, q):
+    if len(p) > len(q):
+        p, q = q, p
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            nm = mono_mul(m1, m2)
+            prev = out.get(nm)
+            if prev is None:
+                out[nm] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    out[nm] = s
+                else:
+                    del out[nm]
+    return out
+
+
 def nd_from_frac(p):
     return {m: (c.numerator, c.denominator) for m, c in p.items()}
 
@@ -125,7 +223,7 @@ def reference_reduce_nd(p, reducers, slots, width):
         for idx, (lm, t) in enumerate(reducers):
             if red_neg_keys[idx] < nk:
                 break  # this and all later leads are bigger than m
-            q = kernel.mono_div(m, lm)
+            q = mono_div(m, lm)
             if q is not None:
                 quotient = q
                 tail = t
@@ -136,7 +234,7 @@ def reference_reduce_nd(p, reducers, slots, width):
             continue
         cn, cd = c
         for tm, tc in tail.items():
-            nm = kernel.mono_mul(tm, quotient)
+            nm = mono_mul(tm, quotient)
             tn, td = tc
             g1 = gcd(cn, td)
             g2 = gcd(tn, cd)
@@ -173,7 +271,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
     registry = order.registry
 
     def lead_key(p):
-        return max(mono_key(m, slots, width) for m in p._t)
+        return max(mono_key(m, slots, width) for m, _ in p.terms())
 
     basis = []  # append-only: (lead_mono, monic dict, sugar, lead_key)
     reducers = []  # sorted [(lead_key, lead_mono, tail)], leads pairwise
@@ -201,7 +299,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
             lmi, _, sugar_i, _ = basis[i]
             if mono_coprime(lmi, lm):
                 continue  # product criterion: the S-pair reduces to zero
-            lcm = kernel.mono_lcm(lmi, lm)
+            lcm = mono_lcm(lmi, lm)
             dl = mono_deg(lcm)
             sug = max(
                 sugar_i + dl - mono_deg(lmi),
@@ -211,7 +309,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
             pending.add((i, k))
         # the new lead retires any reducer it divides (stale entries keep
         # serving the pair bookkeeping, just not reductions)
-        keep = [e for e in reducers if kernel.mono_div(e[1], lm) is None]
+        keep = [e for e in reducers if mono_div(e[1], lm) is None]
         if len(keep) != len(reducers):
             reducers[:] = keep
         insort(
@@ -224,7 +322,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
         key=lead_key,
     )
     for g in seeds:
-        r = reduce_full(nd_from_frac(g._t))
+        r = reduce_full(nd_from_frac(dict(g.terms())))
         if r:
             add_element(r)
 
@@ -235,12 +333,12 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
         pending.discard((i, j))
         lmi, di, _, _ = basis[i]
         lmj, dj, _, _ = basis[j]
-        lcm = kernel.mono_lcm(lmi, lmj)
+        lcm = mono_lcm(lmi, lmj)
         skip = False
         for t in range(len(basis)):
             if t == i or t == j:
                 continue
-            if kernel.mono_div(lcm, basis[t][0]) is None:
+            if mono_div(lcm, basis[t][0]) is None:
                 continue
             a, b = (i, t) if i < t else (t, i)
             c, e = (j, t) if j < t else (t, j)
@@ -249,11 +347,11 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
                 break
         if skip:
             continue
-        qi = kernel.mono_div(lcm, lmi)
-        qj = kernel.mono_div(lcm, lmj)
+        qi = mono_div(lcm, lmi)
+        qj = mono_div(lcm, lmj)
         s = kernel.nd_sub(
-            {kernel.mono_mul(m, qi): c for m, c in di.items()},
-            {kernel.mono_mul(m, qj): c for m, c in dj.items()},
+            {mono_mul(m, qi): c for m, c in di.items()},
+            {mono_mul(m, qj): c for m, c in dj.items()},
         )
         if not s:
             continue
@@ -284,7 +382,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
                 changed = True
                 final[i] = (final[i][0], r)
     polys = [
-        Poly._raw(nd_to_frac(d), registry) for _, d in final
+        Poly(nd_to_frac(d), registry) for _, d in final
     ]
     polys.sort(key=lead_key)
     return GroebnerBasis(polys, order)

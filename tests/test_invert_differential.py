@@ -29,14 +29,17 @@ from gring.words import Word
 from test_engine_differential import (
     mono_coprime,
     mono_deg,
+    mono_div,
     mono_key,
+    mono_lcm,
+    mono_mul,
     mono_neg_key,
     order_slots,
 )
 
 
 def _mul_mono(p, mono, coeff):
-    return {kernel.mono_mul(m, mono): v * coeff for m, v in p.items()}
+    return {mono_mul(m, mono): v * coeff for m, v in p.items()}
 
 
 def _cof_reduce(p, rep, basis, order):
@@ -58,7 +61,7 @@ def _cof_reduce(p, rep, basis, order):
             continue
         hit = None
         for lm, lc, d, brep in basis:
-            q = kernel.mono_div(m, lm)
+            q = mono_div(m, lm)
             if q is not None:
                 hit = (q, lm, lc, d, brep)
                 break
@@ -71,7 +74,7 @@ def _cof_reduce(p, rep, basis, order):
         for tm, tc in d.items():
             if tm == lm:
                 continue
-            nm = kernel.mono_mul(tm, q)
+            nm = mono_mul(tm, q)
             prev = work.get(nm)
             if prev is None:
                 v = -factor * tc
@@ -99,9 +102,9 @@ def _cof_finish(basis, registry):
     reps = []
     for lm, lc, d, rep in basis:
         inv = Fraction(1) / Fraction(lc)
-        polys.append(Poly._raw({m: c * inv for m, c in d.items()}, registry))
+        polys.append(Poly({m: c * inv for m, c in d.items()}, registry))
         reps.append(
-            [Poly._raw({m: c * inv for m, c in r.items()}, registry) for r in rep]
+            [Poly({m: c * inv for m, c in r.items()}, registry) for r in rep]
         )
     return polys, reps
 
@@ -123,7 +126,7 @@ def reference_groebner_with_cofactors(gens, order):
             lmi = basis[i][0]
             if mono_coprime(lmi, lm):
                 continue
-            lcm = kernel.mono_lcm(lmi, lm)
+            lcm = mono_lcm(lmi, lm)
             heappush(
                 pairs,
                 (mono_deg(lcm), mono_key(lcm, slots, width), i, k),
@@ -135,7 +138,7 @@ def reference_groebner_with_cofactors(gens, order):
             continue
         rep = [{} for _ in range(n)]
         rep[i] = {(): Fraction(1)}
-        r, rrep = _cof_reduce(dict(g._t), rep, basis, order)
+        r, rrep = _cof_reduce(dict(g.terms()), rep, basis, order)
         if r:
             add(r, rrep)
             if len(r) == 1 and () in r:
@@ -148,9 +151,9 @@ def reference_groebner_with_cofactors(gens, order):
         pending.discard((i, j))
         lmi, lci, di, repi = basis[i]
         lmj, lcj, dj, repj = basis[j]
-        lcm = kernel.mono_lcm(lmi, lmj)
-        qi = kernel.mono_div(lcm, lmi)
-        qj = kernel.mono_div(lcm, lmj)
+        lcm = mono_lcm(lmi, lmj)
+        qi = mono_div(lcm, lmi)
+        qj = mono_div(lcm, lmj)
         s = kernel.poly_add(
             _mul_mono(di, qi, Fraction(1) / lci),
             _mul_mono(dj, qj, Fraction(-1) / lcj),

@@ -8,7 +8,9 @@ that the guard-bit test and ``m - l`` are ``mono_div``, and that
 detected, never wrap.  Seeded random polynomials check that
 ``MonomialOrder.leading`` picks the term with the largest tuple key.
 The overflow tests run the engine past the initial field width, and from
-the narrowest width, and compare with the tuple-monomial reference engine.
+the narrowest width, and compare with the tuple-monomial reference engine;
+a result whose exponent passes the ``Poly`` limit must raise on the way out
+of the engine.
 """
 
 import pytest
@@ -16,12 +18,16 @@ from hypothesis import given, seed, settings, strategies as st
 
 from gring import kernel, poly, ring
 from gring.casestudies import make_E
+from gring.errors import ExponentOverflow
 from gring.groebner import buchberger
-from gring.poly import Poly, VariableRegistry, degrevlex
+from gring.poly import Poly, VariableRegistry, block_order, degrevlex
 
 from test_engine_differential import (
     mono_deg,
+    mono_div,
     mono_key,
+    mono_lcm,
+    mono_mul,
     nd_from_frac,
     nd_to_frac,
     order_slots,
@@ -41,8 +47,16 @@ ORDERS = {"single": lambda: SINGLE, "kf3": _kf3_order}
 
 
 def _pack(order, mono):
-    (x,) = order.pack_nd({mono: 1})[0]
+    (x,) = order.pack_nd(Poly({mono: 1}, order.registry)._t)[0]
     return x
+
+
+def _unpack(order, x):
+    """Tuple monomial of the packed ``x``, through ``Packing.to_frac``."""
+    ((mono, _),) = Poly._raw(
+        order.packing.to_frac({x: (1, 1)}), order.registry
+    ).terms()
+    return mono
 
 
 def _block_degrees(order, mono):
@@ -79,24 +93,24 @@ def test_packed_ops_match_tuple_ops(name, data):
     b = _sparse(b, data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b))))
     pa, pb = _pack(order, a), _pack(order, b)
 
-    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert _unpack(order, pa) == a and _unpack(order, pb) == b
     slots, width = order_slots(order)
     assert pk.degree(pa) == mono_deg(a)
     assert (pa < pb) == (mono_key(a, slots, width) < mono_key(b, slots, width))
     assert (pa == pb) == (a == b)
 
-    prod = kernel.mono_mul(a, b)
+    prod = mono_mul(a, b)
     fits = all(d < half for d in _block_degrees(order, prod))
     assert ((pa + pb) & g == 0) == fits
     if fits:
         assert pa + pb == _pack(order, prod)
 
-    q = kernel.mono_div(a, b)
+    q = mono_div(a, b)
     assert (((pa | g) - pb) & g == g) == (q is not None)
     if q is not None:
         assert pa - pb == _pack(order, q)
 
-    lcm = kernel.mono_lcm(a, b)
+    lcm = mono_lcm(a, b)
     if all(d < half for d in _block_degrees(order, lcm)):
         assert pk.lcm(pa, pb) == _pack(order, lcm)
     else:
@@ -115,9 +129,9 @@ def test_leading_is_largest_tuple_key(name, data):
     coeffs = data.draw(
         st.lists(st.integers(1, 9), min_size=len(monos), max_size=len(monos))
     )
-    p = Poly._raw(dict(zip(monos, coeffs)), order.registry)
+    p = Poly(dict(zip(monos, coeffs)), order.registry)
     want = max(monos, key=lambda m: mono_key(m, slots, width))
-    assert order.leading(p) == (want, p._t[want])
+    assert order.leading(p) == (want, dict(p.terms())[want])
 
 
 def test_leading_widens_the_packing():
@@ -125,7 +139,7 @@ def test_leading_widens_the_packing():
     bits = kf.order.packing.bits
     lam1 = kf.lam(1)
     lead, c = kf.order.leading(lam1**200 + kf.lam(2) * kf.lam(3))
-    assert Poly._raw({lead: c}, kf.registry) == lam1**200
+    assert Poly({lead: c}, kf.registry) == lam1**200
     assert kf.order.packing.bits > bits
 
 
@@ -134,7 +148,7 @@ def test_pack_rejects_too_big_degree():
     half = 1 << (pk.bits - 1)
     v = SINGLE.blocks[0][0]
     with pytest.raises(kernel.FieldOverflow):
-        SINGLE.pack_nd({((v, half),): 1})
+        SINGLE.pack_nd(Poly({((v, half),): 1}, _LOCAL)._t)
 
 
 def _fresh_xy():
@@ -184,10 +198,25 @@ def test_narrowest_width_gives_reference_bases(monkeypatch):
     reducers = []
     for b in kf.gb.polys:
         lm, _ = kf.order.leading(b)
-        tail = nd_from_frac(b._t)
+        tail = nd_from_frac(dict(b.terms()))
         del tail[lm]
         reducers.append((lm, tail))
     want = reference_reduce_nd(
-        nd_from_frac(p._t), reducers, *order_slots(kf.order)
+        nd_from_frac(dict(p.terms())), reducers, *order_slots(kf.order)
     )
-    assert got._t == nd_to_frac(want)
+    assert dict(got.terms()) == nd_to_frac(want)
+
+
+def test_result_past_the_exponent_limit_raises():
+    reg = VariableRegistry()
+    a, b = Poly.variable("a", reg), Poly.variable("b", reg)
+    order = block_order((reg.lookup("b"),), (reg.lookup("a"),), registry=reg)
+    gb = buchberger([b - a**200], order)
+    assert gb.normal_form(b**100) == a**20000
+    # b^200 reduces to a^40000: the engine widens its fields to hold it,
+    # and leaving the engine raises
+    with pytest.raises(ExponentOverflow):
+        gb.normal_form(b**200)
+    with pytest.raises(ExponentOverflow):
+        buchberger([b - a**200, b**200], order)
+    assert order.packing.bits > kernel.EXP_BITS

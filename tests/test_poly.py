@@ -1,9 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from gring.errors import ForeignVariable, MismatchedRegistry
+from gring.errors import (
+    ExponentOverflow,
+    ForeignVariable,
+    GringError,
+    MismatchedRegistry,
+)
+from gring.kernel import EXP_MAX, FieldOverflow
 from gring.poly import (
     NEG_INF,
     REGISTRY,
@@ -14,6 +20,8 @@ from gring.poly import (
     degrevlex,
     parse_poly,
 )
+
+from test_engine_differential import mono_key, order_slots, poly_mul
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -180,3 +188,137 @@ def test_kernel_backend_is_python():
     import gring
 
     assert gring.kernel_backend() == "python"
+
+
+# -- packed monomials: canonical keys and the exponent limit ---------------
+
+
+def test_tuple_keys_are_canonical():
+    xv, yv = REGISTRY.lookup("x"), REGISTRY.lookup("y")
+    p = Poly({((yv, 2), (xv, 1)): 1})
+    assert p == x * y**2
+    assert p.render() == (x * y**2).render()
+    c = Poly({((xv, 0),): 3})
+    assert c.is_constant() and c == 3 and c.render() == "3"
+    # keys naming the same monomial add up
+    assert Poly({((xv, 1), (yv, 1)): 2, ((yv, 1), (xv, 1)): 3}) == 5 * x * y
+    assert Poly({((xv, 1),): 1, ((xv, 1), (yv, 0)): -1}).is_zero()
+    with pytest.raises(ValueError):
+        Poly({((xv, -1),): 1})
+
+
+def test_exponent_limit_is_reachable():
+    xv = REGISTRY.lookup("x")
+    top = x**EXP_MAX
+    assert top.degree_in("x") == EXP_MAX and top.degree_in("y") == 0
+    assert Poly({((xv, EXP_MAX),): 1}) == top
+    assert (top * y).variables() == sorted([xv, REGISTRY.lookup("y")])
+    assert issubclass(ExponentOverflow, GringError)
+    assert not issubclass(ExponentOverflow, FieldOverflow)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda xv: Poly({((xv, EXP_MAX + 1),): 1}),
+        lambda xv: Poly({((xv, EXP_MAX), (xv, 1)): 1}),
+        lambda xv: x**EXP_MAX * (x + y),
+        lambda xv: x ** (EXP_MAX + 1),
+        lambda xv: (x**2).substitute({"x": x**20000}),
+        lambda xv: (x**20000 * y).substitute({"y": x**20000}),
+    ],
+    ids=["constructor", "repeated-key", "product", "power", "substitute-power",
+         "substitute-product"],
+)
+def test_exponent_overflow_raises(make):
+    with pytest.raises(ExponentOverflow):
+        make(REGISTRY.lookup("x"))
+
+
+# -- packed against tuple monomials ----------------------------------------
+#
+# The reference operations are the tuple-monomial ``Poly`` methods as they
+# were before ``Poly`` stored packed ints (frozen copies), with the frozen
+# ``poly_mul`` of the engine differential test.
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_pow(p, k):
+    out = {(): 1}
+    for _ in range(k):
+        out = poly_mul(out, p)
+    return out
+
+
+def ref_substitute(p, amap):
+    out = {}
+    for m, c in p.items():
+        term = {tuple((v, e) for v, e in m if v not in amap): c}
+        for v, e in m:
+            if v in amap:
+                term = poly_mul(term, ref_pow(amap[v], e))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_coefficient_in(p, vid, k):
+    return {
+        tuple((v, e) for v, e in m if v != vid): c
+        for m, c in p.items()
+        if dict(m).get(vid, 0) == k
+    }
+
+
+def ref_degree_in(p, vid):
+    return max((dict(m).get(vid, 0) for m in p), default=NEG_INF)
+
+
+def ref_variables(p):
+    return sorted({v for m in p for v, _ in m})
+
+
+# ids registered out of block order: c, a, d, b get ids 0..3, and the
+# order's blocks are (b, d) over (c, a)
+PROP = VariableRegistry()
+for _name in ("c", "a", "d", "b"):
+    PROP.var(_name)
+PROP_ORDER = block_order(
+    (PROP.lookup("b"), PROP.lookup("d")),
+    (PROP.lookup("c"), PROP.lookup("a")),
+    registry=PROP,
+)
+
+tuple_monos = st.dictionaries(st.integers(0, 3), st.integers(1, 4), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+tuple_polys = st.dictionaries(tuple_monos, coeffs.filter(bool), max_size=4)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(
+    tuple_polys, tuple_polys, st.integers(0, 3), st.integers(0, 3), st.integers(0, 4)
+)
+def test_poly_ops_match_tuple_ops(tp, tq, v, k, e):
+    p, q = Poly(tp, PROP), Poly(tq, PROP)
+    assert dict(p.terms()) == tp
+    assert Poly(p.terms(), PROP) == p
+    assert dict((p + q).terms()) == ref_add(tp, tq)
+    assert dict((p * q).terms()) == poly_mul(tp, tq)
+    assert dict((p**k).terms()) == ref_pow(tp, k)
+    w = (v + 1) % 4
+    got = p.substitute({v: q, PROP.name(w): 2})
+    assert dict(got.terms()) == ref_substitute(tp, {v: tq, w: {(): 2}})
+    assert dict(p.coefficient_in(v, e).terms()) == ref_coefficient_in(tp, v, e)
+    assert p.degree_in(v) == ref_degree_in(tp, v)
+    assert p.variables() == ref_variables(tp)
+    if tp:
+        slots, width = order_slots(PROP_ORDER)
+        lead = max(tp, key=lambda m: mono_key(m, slots, width))
+        assert PROP_ORDER.leading(p) == (lead, tp[lead])

@@ -98,7 +98,7 @@ def test_normal_form_of_w_square_in_rank4():
         p = ring.w(*t) * ring.w(*t)
         nf = ring.nf(p)
         assert all(
-            vid not in ring._w.values() for mono in nf._t for vid, _ in mono
+            vid not in ring._w.values() for mono, _ in nf.terms() for vid, _ in mono
         )
 
 
