@@ -9,21 +9,39 @@ Inside the engine every monomial is one Python int in the order's own
 ``kernel.Packing`` layout (described in ``kernel``): a product is
 ``a + b``, the monomial order is ``<`` on the ints, a lead ``l`` divides
 ``m`` exactly when ``((m | G) - l) & G == G`` for the packing's guard
-mask ``G``, and the quotient is then ``m - l``.  The pair heap is keyed on
-the packed lcm itself.  ``Poly`` monomials, also ints but in the registry
-layout, are converted on entry and on exit.  A product whose degree
-outgrows the packing's fields raises ``kernel.FieldOverflow``; the order
-then repacks wider and the computation starts over, so an overflow never
-gives a wrong result.
+mask ``G``, and the quotient is then ``m - l``.  ``Poly`` monomials, also
+ints but in the registry layout, are converted on entry and on exit.  A
+product whose degree outgrows the packing's fields raises
+``kernel.FieldOverflow``; the order then repacks wider and the computation
+starts over, so an overflow never gives a wrong result.
 
-Divisibility tests in the chain criterion are prefiltered.  Next to each
-basis element the engine keeps its lead's support bitmask
-(``Packing.support``, one bit per variable of the order) and total degree.
-A lead ``t`` can only divide ``m`` when its mask has no bit outside
-``m``'s mask and its degree is at most ``m``'s (the "short exponent
-vector" of Bachmann & Schoenemann, ISSAC '98).  The chain-criterion scan
-applies that test first and the guard-bit test only to the leads that
-pass, which is faster than the guard-bit test alone.
+The pair queue is a heap of ints.  A pair (i, j), i < j, is one int that
+holds, from the top, its sugar, its packed lcm, i and j, and in the lowest
+bit a dead flag; so pairs pop by sugar, then lcm, then index, and two
+pairs that sit in the heap together pop in the order of their keys.  The
+lcm is computed inline from the exponent halves of the two leads (the
+guard-bit fieldwise maximum of ``Packing.lcm``), and the sugar is
+``deg(lcm) + max(sugar_i - deg_i, sugar_j - deg_j)``.  A new element pairs
+only with the leads that share a variable with its own (the product
+criterion), read off one bitset per variable.  Each element keeps the
+bitset of the partners of its pending pairs, those formed but not popped.
+
+The chain criterion skips a popped pair (i, j) when the lead of some other
+element t divides its lcm and neither (i, t) nor (j, t) is pending.  The
+candidates t are one bitset expression of the two pending sets.  Among
+them, the element whose lead retired i's or j's from the reducers divides
+the lcm outright; a few candidates are scanned with the guard-bit test;
+more are cut down field by field, with one bitset per field and exponent
+``e`` of the leads whose exponent there is at most ``e``.  Many pairs are
+settled when they are formed: (i, k), k the new element, is marked dead
+when i was retired by some r other than k, and both (r, k) and (i, r) are
+either not pending or in the heap with a key below that of (i, k).  Both
+then pop before (i, k), so when it pops neither is pending and r's lead,
+which divides i's, divides the lcm: the chain test would skip it.  A dead
+pair still goes through the heap, so the pending sets change exactly as
+they would without the mark, and its pop only skips the test.  Every pair
+is thus formed, skipped or reduced as by a queue that tests each pair
+when it pops, and the bases and counters are the same.
 
 Unit certificates come from the same engine.  With ``cofactor=True`` each
 element also carries its cofactor of the last generator, the only one an
@@ -57,6 +75,12 @@ STATS = (
     "elements_added",
     "finish_reductions",
 )
+
+#: Width of each element index in a pair's heap key.  No run comes near
+#: 2^32 elements: adding one such element lists 2^32 pair keys (32 GiB).
+_INDEX_BITS = 32
+#: Chain-test candidates up to which a scan beats the per-field cut.
+_SCAN_MAX = 8
 
 
 class GroebnerBasis:
@@ -158,19 +182,43 @@ def buchberger(
 def _buchberger(gens, order, packing, deadline, cofactor):
     """One run of ``buchberger`` with monomials packed by ``packing``."""
     registry = order.registry
-    guard, lcm_of, degree = packing.guard, packing.lcm, packing.degree
+    guard, degree = packing.guard, packing.degree
+    guard_bit = packing.bits - 1  # offset of the guard bit in a field
+    fmask = (1 << packing.bits) - 1
+    emask, eguard = packing.exp_mask, packing.exp_guard
+    exp_shifts = packing.exp_shifts
+    key_blocks, degree_shifts = packing.key_blocks, packing.degree_shifts
+    # a pair's heap key, high to low: sugar, lcm, i, j and the dead flag
+    imask = (1 << _INDEX_BITS) - 1
+    i_at = 1 + _INDEX_BITS
+    lcm_at = 1 + 2 * _INDEX_BITS
+    lcm_mask = (1 << guard.bit_length()) - 1
+    sugar_at = lcm_at + guard.bit_length()
     stats = dict.fromkeys(STATS, 0)
 
-    basis = []  # append-only: (lead, monic dict, sugar)
-    lead_mask = []  # parallel to basis: support bitmask of the lead
-    lead_deg = []  # parallel to basis: total degree of the lead
+    # append-only, one entry per element, retired ones included
+    leads = []  # packed lead
+    exps = []  # the lead's exponent half
+    excess = []  # sugar minus lead degree
+    monic = []  # monic dict
+    pending = []  # bitset of the partners of the element's pending pairs
+    retired_by = []  # bit of the element whose lead retired it, or 0
+    index = {}  # lead -> element
+    # occupied[f]: bitset of the elements whose lead has a nonzero
+    # exponent in field f
+    occupied = [0] * len(exp_shifts)
+    # within[f][e]: bitset of the elements whose lead has at most e in
+    # exponent field f, kept as the complement of those above e.  Each
+    # list ends at the largest such exponent with -1 (every element), so
+    # that the exponent of an lcm of two leads always indexes it.  Built
+    # on the first chain test with many candidates, then kept up to date.
+    within = []  # (bit offset of field f, within[f])
+    tabled = 0  # elements entered into ``within``
     cof_of = {}  # with ``cofactor``: lead -> cofactor of gens[-1]
     reducers = []  # sorted [(lead, tail)], leads pairwise non-divisible:
     # new elements are normal forms, old leads divisible by a new lead get
     # pruned
-    pairs = []  # heap of (sugar, lcm, i, j, lcm degree); stale entries
-    # skipped
-    pending = set()
+    pairs = []  # heap of pair keys
     late = "basis computation exceeded its deadline"
 
     def reduce_full(d, cof):
@@ -197,32 +245,103 @@ def _buchberger(gens, order, packing, deadline, cofactor):
             if not lm:
                 return True
         d = kernel.nd_monic(d, lm)
-        k = len(basis)
+        k = len(leads)
         stats["elements_added"] += 1
         stats["pairs"] += k
-        sugar_k = max(degree(m) for m in d)
-        mask_k = packing.support(lm)
         deg_k = degree(lm)
-        basis.append((lm, d, sugar_k))
-        lead_mask.append(mask_k)
-        lead_deg.append(deg_k)
-        for i in range(k):
-            if not lead_mask[i] & mask_k:
-                stats["product_skipped"] += 1  # the S-pair reduces to zero
-                continue
-            lmi, _, sugar_i = basis[i]
-            lcm = lcm_of(lmi, lm)
-            dl = degree(lcm)
-            sug = max(sugar_i + dl - lead_deg[i], sugar_k + dl - deg_k)
-            heappush(pairs, (sug, lcm, i, k, dl))
-            pending.add((i, k))
-        # the new lead retires any reducer it divides (stale entries keep
+        xk = max(degree(m) for m in d) - deg_k
+        ek = lm & emask
+        bit_k = 1 << k
+        low_k = k << 1
+        # the product criterion: only leads sharing a variable with lm pair
+        # with it, the S-polynomials of the others reduce to zero
+        partners = 0
+        for f, s in enumerate(exp_shifts):
+            if lm >> s & fmask:
+                partners |= occupied[f]
+                occupied[f] |= bit_k
+        stats["product_skipped"] += k - partners.bit_count()
+        keys = [0] * k  # key of the pair (i, k); 0 if it is product-skipped
+        # descending, so that a retired i finds the key of its retirer's pair
+        rest = partners
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            # the lcm: fieldwise maximum of the exponents, then the key half
+            ei = exps[i]
+            ge = ((ei | eguard) - ek) & eguard
+            sel = ge - (ge >> guard_bit)
+            x = (ei & sel) | (ek & ~sel)
+            for shift, mask, rep, kshift in key_blocks:
+                x |= ((x >> shift & mask) * rep & mask) << kshift
+            if x & guard:
+                raise kernel.FieldOverflow
+            dl = 0
+            for s in degree_shifts:
+                dl += x >> s & fmask
+            xi = excess[i]
+            key = (
+                (dl + (xi if xi > xk else xk)) << sugar_at
+                | x << lcm_at
+                | i << i_at
+                | low_k
+            )
+            # dead: the chain criterion will skip the pair with witness r
+            r = retired_by[i].bit_length() - 1
+            if r >= 0 and keys[r] < key:
+                # r's lead divides i's, so the lcm of (i, r) is i's lead
+                li = leads[i]
+                xr = excess[r]
+                if not pending[i] >> r & 1 or (
+                    (degree(li) + (xi if xi > xr else xr)) << sugar_at
+                    | li << lcm_at
+                    | i << i_at
+                    | r << 1
+                ) < key:
+                    key |= 1
+            keys[i] = key
+            heappush(pairs, key)
+            pending[i] |= bit_k
+        leads.append(lm)
+        exps.append(ek)
+        excess.append(xk)
+        monic.append(d)
+        pending.append(partners)
+        retired_by.append(0)
+        index[lm] = k
+        # the new lead retires any reducer it divides (retired elements keep
         # serving the pair bookkeeping, just not reductions)
         keep = [e for e in reducers if ((e[0] | guard) - lm) & guard != guard]
         if len(keep) != len(reducers):
+            for lead, _ in reducers:
+                if ((lead | guard) - lm) & guard == guard:
+                    retired_by[index[lead]] = bit_k
             reducers[:] = keep
         insort(reducers, (lm, {m: c for m, c in d.items() if m != lm}))
         return False
+
+    def cut(cand, lcm):
+        """The elements of the bitset ``cand`` whose lead divides ``lcm``,
+        or 0 once there are none: a cut field by field."""
+        nonlocal tabled
+        if not within:
+            within.extend((s, [-1]) for s in exp_shifts)
+        for t in range(tabled, len(leads)):
+            clear = ~(1 << t)
+            for s, tab in within:
+                a = leads[t] >> s & fmask
+                if a:
+                    top = len(tab) - 1
+                    for e in range(a if a < top else top):
+                        tab[e] &= clear
+                    if a > top:
+                        tab[top:] = [clear] * (a - top) + [-1]
+        tabled = len(leads)
+        for s, tab in within:
+            cand &= tab[lcm >> s & fmask]
+            if not cand:
+                break
+        return cand
 
     def unit_basis():
         gb = GroebnerBasis([Poly.one(registry)], order, stats)
@@ -251,35 +370,44 @@ def _buchberger(gens, order, packing, deadline, cofactor):
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
             raise GroebnerTimeout(late, stats)
-        _, lcm, i, j, lcm_deg = heappop(pairs)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lmi, di, _ = basis[i]
-        lmj, dj, _ = basis[j]
-        # chain criterion: skip the pair when some other lead t divides
-        # lcm(lmi, lmj) and neither (i, t) nor (j, t) is still pending.
-        # A lead with a variable outside the lcm's support, or of higher
-        # degree, cannot divide it; only the rest get the guard-bit test.
-        outside = ~(lead_mask[i] | lead_mask[j])
-        lg = lcm | guard
-        skip = False
-        for t, mask_t in enumerate(lead_mask):
-            if mask_t & outside or lead_deg[t] > lcm_deg or t == i or t == j:
-                continue
-            if (lg - basis[t][0]) & guard == guard:
-                a, b = (i, t) if i < t else (t, i)
-                c, e = (j, t) if j < t else (t, j)
-                if (a, b) not in pending and (c, e) not in pending:
-                    skip = True
-                    break
-        if skip:
+        key = heappop(pairs)
+        i = key >> i_at & imask
+        j = key >> 1 & imask
+        bit_i = 1 << i
+        bit_j = 1 << j
+        pending[i] ^= bit_j
+        pending[j] ^= bit_i
+        if key & 1:
             stats["chain_skipped"] += 1
             continue
+        lcm = key >> lcm_at & lcm_mask
+        # chain criterion: skip the pair when some other lead t divides the
+        # lcm and neither (i, t) nor (j, t) is pending.  The element that
+        # retired i or j is such a t when it is a candidate: its lead
+        # divides lmi or lmj.
+        cand = ((1 << len(leads)) - 1) & ~(
+            pending[i] | pending[j] | bit_i | bit_j
+        )
+        if not cand & (retired_by[i] | retired_by[j]):
+            if cand.bit_count() > _SCAN_MAX:
+                cand = cut(cand, lcm)
+            else:  # a scan of a few candidates
+                lg = lcm | guard
+                while cand:
+                    low = cand & -cand
+                    if (lg - leads[low.bit_length() - 1]) & guard == guard:
+                        break
+                    cand ^= low
+        if cand:
+            stats["chain_skipped"] += 1
+            continue
+        lmi = leads[i]
+        lmj = leads[j]
         qi = lcm - lmi
         qj = lcm - lmj
         s = kernel.nd_sub(
-            kernel.nd_shift(di, qi, guard), kernel.nd_shift(dj, qj, guard)
+            kernel.nd_shift(monic[i], qi, guard),
+            kernel.nd_shift(monic[j], qj, guard),
         )
         if not s:
             continue

@@ -110,16 +110,20 @@ def is_whole_ring(gens, ambient: QuotientRing, deadline=None) -> bool:
     return ambient.ideal_gb(gens, deadline=deadline).is_unit_ideal()
 
 
-def ideal_contains(gens, p: Poly, ambient: QuotientRing) -> bool:
-    return ambient.ideal_gb(gens).contains(p)
+def ideal_contains(gens, p: Poly, ambient: QuotientRing, deadline=None) -> bool:
+    """True iff p lies in <gens> plus the ambient relations; raises
+    GroebnerTimeout past ``deadline``."""
+    return ambient.ideal_gb(gens, deadline=deadline).contains(p)
 
 
-def ideal_equal(gens_a, gens_b, ambient: QuotientRing) -> bool:
+def ideal_equal(gens_a, gens_b, ambient: QuotientRing, deadline=None) -> bool:
+    """True iff <gens_a> and <gens_b> agree modulo the ambient relations;
+    raises GroebnerTimeout past ``deadline``."""
     gens_a, gens_b = list(gens_a), list(gens_b)
     if gens_a == gens_b:
         return True  # the same generators: no basis needed
-    ga = ambient.ideal_gb(gens_a)
-    gbs = ambient.ideal_gb(gens_b)
+    ga = ambient.ideal_gb(gens_a, deadline=deadline)
+    gbs = ambient.ideal_gb(gens_b, deadline=deadline)
     return ga.polys == gbs.polys
 
 

@@ -2,11 +2,13 @@ import time
 
 import pytest
 
-from gring import kernel
-from gring.casestudies import build_E
+from gring import kernel, ring
+from gring.casestudies import SWInstance, SWRings, build_E, sw_elements
 from gring.errors import GroebnerTimeout
 from gring.groebner import STATS, buchberger
+from gring.ideals import hashhash_generators
 from gring.poly import REGISTRY, Poly, degrevlex, parse_poly
+from gring.words import Word
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -167,3 +169,48 @@ def test_timeout_carries_stats():
         )
     assert set(exc.value.stats) == set(STATS)
     assert exc.value.stats["reduced"] > 0
+
+
+def _properness_basis():
+    rings = SWRings(2, 3, 5)
+    word = Word.from_syllables([(1, 1), (2, 1), (3, 1)])
+    return rings.A.ideal_gb(sw_elements(SWInstance(2, 3, 5, word), rings))
+
+
+def _conjugate_basis():
+    h = Word.from_syllables([(1, 1)])
+    l = Word.from_syllables([(2, 1), (3, -1)])
+    conj = h * l * h.inverse()
+    return ring.build_KF(3).ideal_gb(hashhash_generators([conj], 3).generators)
+
+
+def _inversion_basis():
+    E = build_E(3, 4)
+    elem = E.nf(parse_poly("s1*s2 + mu1 - 2"))
+    gb = buchberger(list(E.gb.polys) + [elem], E.order, cofactor=True)
+    assert gb.cofactor is not None
+    return gb
+
+
+# (pairs, product_skipped, chain_skipped, reduced, reduced_to_zero,
+# elements_added, finish_reductions), in the order of STATS
+PINNED_STATS = {
+    "properness C2*C3*C5 g1*g2*g3": (
+        _properness_basis,
+        (13530, 3922, 9043, 533, 369, 165, 32),
+    ),
+    "KF3 relations": (lambda: ring.KFRing(3).gb, (0, 0, 0, 0, 0, 1, 0)),
+    "F3 conjugate g1*g2*g3^-1*g1^-1": (
+        _conjugate_basis,
+        (1176, 173, 896, 102, 54, 49, 9),
+    ),
+    "E(3,4) inversion": (_inversion_basis, (91, 51, 1, 17, 3, 14, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STATS))
+def test_stats_are_pinned(name):
+    # every pair is formed, skipped or reduced as by the engine that first
+    # recorded these counts
+    make, want = PINNED_STATS[name]
+    assert tuple(make().stats[k] for k in STATS) == want

@@ -8,9 +8,10 @@ that the guard-bit test and ``m - l`` are ``mono_div``, and that
 detected, never wrap.  Seeded random polynomials check that
 ``MonomialOrder.leading`` picks the term with the largest tuple key.
 The overflow tests run the engine past the initial field width, and from
-the narrowest width, and compare with the tuple-monomial reference engine;
-a result whose exponent passes the ``Poly`` limit must raise on the way out
-of the engine.
+the narrowest width on one- and two-block orders, and compare bases with
+the tuple-monomial reference engine and an inverse with the reference
+inversion; a result whose exponent passes the ``Poly`` limit must raise on
+the way out of the engine.
 """
 
 import pytest
@@ -20,7 +21,9 @@ from gring import kernel, poly, ring
 from gring.casestudies import make_E
 from gring.errors import ExponentOverflow
 from gring.groebner import buchberger
-from gring.poly import Poly, VariableRegistry, block_order, degrevlex
+from gring.ideals import hashhash_generators
+from gring.poly import Poly, VariableRegistry, block_order, degrevlex, parse_poly
+from gring.words import Word
 
 from test_engine_differential import (
     mono_deg,
@@ -34,6 +37,7 @@ from test_engine_differential import (
     reference_buchberger,
     reference_reduce_nd,
 )
+from test_invert_differential import reference_invert
 
 _LOCAL = VariableRegistry()
 SINGLE = degrevlex([_LOCAL.var(f"a{i}") for i in range(5)], _LOCAL)
@@ -184,10 +188,22 @@ def test_narrowest_width_gives_reference_bases(monkeypatch):
     monkeypatch.setattr(ring, "buchberger", recording)
     E = make_E(3, 4)
     kf = ring.KFRing(3)
-    assert E.order.packing.bits > 2 and kf.order.packing.bits > 2
+    # KF2 has no relations; an ideal of it takes the engine through one
+    # degrevlex block
+    kf2 = ring.KFRing(2)
+    assert len(kf2.order.blocks) == 1
+    word = Word.from_syllables([(1, 1), (2, 1), (1, -1), (2, 1), (1, 1)])
+    kf2.ideal_gb(hashhash_generators([word], 2).generators)
+    for r in (E, kf, kf2):
+        assert r.order.packing.bits > 2
     assert records
     for gens, order, polys in records:
         assert polys == reference_buchberger(gens, order).polys
+
+    # a cofactor run, through a fresh ring at the narrowest width
+    E = make_E(3, 4)
+    elem = E.nf(parse_poly("s1*s2 + mu1 - 2"))
+    assert ring.invert(elem, E) == reference_invert(elem, E)
 
     # a normal form past the width the basis was packed with repacks the
     # basis too

@@ -11,6 +11,7 @@ from gring.poly import REGISTRY, Poly, VariableRegistry, degrevlex
 from gring.ring import (
     QuotientRing,
     build_KF,
+    ideal_contains,
     ideal_equal,
     invert,
     is_whole_ring,
@@ -198,6 +199,19 @@ def test_invert_honours_deadline():
     with pytest.raises(GroebnerTimeout):
         invert(elem, E, deadline=time.monotonic() + 1)
     assert time.monotonic() - t0 < 10
+
+
+def test_ideal_queries_honour_deadline():
+    ring = build_KF(2)
+    lam1, lam2 = ring.lam(1), ring.lam(2)
+    late = time.monotonic() - 1
+    with pytest.raises(GroebnerTimeout):
+        ideal_equal([lam1], [lam2], ring, deadline=late)
+    with pytest.raises(GroebnerTimeout):
+        ideal_contains([lam1], lam2, ring, deadline=late)
+    # equal generator lists need no basis, so the answer still comes
+    assert ideal_equal([lam1], [lam1], ring, deadline=late)
+    assert not ideal_contains([lam1], lam2, ring)
 
 
 def test_vdim():
