@@ -16,11 +16,8 @@ product whose degree outgrows the packing's fields raises
 starts over, so an overflow never gives a wrong result.
 
 The pair queue is a heap of ints.  A pair (i, j), i < j, is one int that
-holds, from the top, its sugar, its packed lcm, i and j, and in the lowest
-bit a dead flag; so pairs pop by sugar, then lcm, then index, and two
-pairs that sit in the heap together pop in the order of their keys.  The
-lcm is computed inline from the exponent halves of the two leads (the
-guard-bit fieldwise maximum of ``Packing.lcm``), and the sugar is
+holds, from the top, its sugar, its packed lcm (``Packing.lcm`` of the two
+leads), i and j; so pairs pop by sugar, then lcm, then index.  The sugar is
 ``deg(lcm) + max(sugar_i - deg_i, sugar_j - deg_j)``.  A new element pairs
 only with the leads that share a variable with its own (the product
 criterion), read off one bitset per variable.  Each element keeps the
@@ -28,20 +25,14 @@ bitset of the partners of its pending pairs, those formed but not popped.
 
 The chain criterion skips a popped pair (i, j) when the lead of some other
 element t divides its lcm and neither (i, t) nor (j, t) is pending.  The
-candidates t are one bitset expression of the two pending sets.  Among
-them, the element whose lead retired i's or j's from the reducers divides
-the lcm outright; a few candidates are scanned with the guard-bit test;
-more are cut down field by field, with one bitset per field and exponent
-``e`` of the leads whose exponent there is at most ``e``.  Many pairs are
-settled when they are formed: (i, k), k the new element, is marked dead
-when i was retired by some r other than k, and both (r, k) and (i, r) are
-either not pending or in the heap with a key below that of (i, k).  Both
-then pop before (i, k), so when it pops neither is pending and r's lead,
-which divides i's, divides the lcm: the chain test would skip it.  A dead
-pair still goes through the heap, so the pending sets change exactly as
-they would without the mark, and its pop only skips the test.  Every pair
-is thus formed, skipped or reduced as by a queue that tests each pair
-when it pops, and the bases and counters are the same.
+candidates t are one bitset expression of the two pending sets.  The
+element whose lead retired i's or j's from the reducers divides the lcm
+outright, so when it is a candidate the pair is skipped at once.
+Otherwise a few candidates are scanned with the guard-bit test, and more
+are cut down field by field, with one bitset per field and exponent ``e``
+of the leads whose exponent there is at most ``e``.  Every pair the
+product criterion keeps is pushed, popped and tested, so the bases and
+counters are those of a queue that scans every element for a witness.
 
 Unit certificates come from the same engine.  With ``cofactor=True`` each
 element also carries its cofactor of the last generator, the only one an
@@ -79,7 +70,11 @@ STATS = (
 #: Width of each element index in a pair's heap key.  No run comes near
 #: 2^32 elements: adding one such element lists 2^32 pair keys (32 GiB).
 _INDEX_BITS = 32
-#: Chain-test candidates up to which a scan beats the per-field cut.
+#: Chain-test candidates up to which the guard-bit scan runs instead of the
+#: per-field cut.  A scan is cheap for a few candidates, and the cut must
+#: first build its tables; in paired runs a bound of 8 or 16 timed alike,
+#: while cutting always cost small bases 1-3% and scanning always cost
+#: ``properness`` 10%.
 _SCAN_MAX = 8
 
 
@@ -182,23 +177,18 @@ def buchberger(
 def _buchberger(gens, order, packing, deadline, cofactor):
     """One run of ``buchberger`` with monomials packed by ``packing``."""
     registry = order.registry
-    guard, degree = packing.guard, packing.degree
-    guard_bit = packing.bits - 1  # offset of the guard bit in a field
-    fmask = (1 << packing.bits) - 1
-    emask, eguard = packing.exp_mask, packing.exp_guard
+    guard, lcm_of, degree = packing.guard, packing.lcm, packing.degree
     exp_shifts = packing.exp_shifts
-    key_blocks, degree_shifts = packing.key_blocks, packing.degree_shifts
-    # a pair's heap key, high to low: sugar, lcm, i, j and the dead flag
+    fmask = (1 << packing.bits) - 1
+    # a pair's heap key, high to low: sugar, lcm, i and j
     imask = (1 << _INDEX_BITS) - 1
-    i_at = 1 + _INDEX_BITS
-    lcm_at = 1 + 2 * _INDEX_BITS
+    lcm_at = 2 * _INDEX_BITS
     lcm_mask = (1 << guard.bit_length()) - 1
     sugar_at = lcm_at + guard.bit_length()
     stats = dict.fromkeys(STATS, 0)
 
     # append-only, one entry per element, retired ones included
     leads = []  # packed lead
-    exps = []  # the lead's exponent half
     excess = []  # sugar minus lead degree
     monic = []  # monic dict
     pending = []  # bitset of the partners of the element's pending pairs
@@ -250,9 +240,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         stats["pairs"] += k
         deg_k = degree(lm)
         xk = max(degree(m) for m in d) - deg_k
-        ek = lm & emask
         bit_k = 1 << k
-        low_k = k << 1
         # the product criterion: only leads sharing a variable with lm pair
         # with it, the S-polynomials of the others reduce to zero
         partners = 0
@@ -261,49 +249,22 @@ def _buchberger(gens, order, packing, deadline, cofactor):
                 partners |= occupied[f]
                 occupied[f] |= bit_k
         stats["product_skipped"] += k - partners.bit_count()
-        keys = [0] * k  # key of the pair (i, k); 0 if it is product-skipped
-        # descending, so that a retired i finds the key of its retirer's pair
         rest = partners
         while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
-            # the lcm: fieldwise maximum of the exponents, then the key half
-            ei = exps[i]
-            ge = ((ei | eguard) - ek) & eguard
-            sel = ge - (ge >> guard_bit)
-            x = (ei & sel) | (ek & ~sel)
-            for shift, mask, rep, kshift in key_blocks:
-                x |= ((x >> shift & mask) * rep & mask) << kshift
-            if x & guard:
-                raise kernel.FieldOverflow
-            dl = 0
-            for s in degree_shifts:
-                dl += x >> s & fmask
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            x = lcm_of(leads[i], lm)
             xi = excess[i]
-            key = (
-                (dl + (xi if xi > xk else xk)) << sugar_at
+            heappush(
+                pairs,
+                (degree(x) + (xi if xi > xk else xk)) << sugar_at
                 | x << lcm_at
-                | i << i_at
-                | low_k
+                | i << _INDEX_BITS
+                | k,
             )
-            # dead: the chain criterion will skip the pair with witness r
-            r = retired_by[i].bit_length() - 1
-            if r >= 0 and keys[r] < key:
-                # r's lead divides i's, so the lcm of (i, r) is i's lead
-                li = leads[i]
-                xr = excess[r]
-                if not pending[i] >> r & 1 or (
-                    (degree(li) + (xi if xi > xr else xr)) << sugar_at
-                    | li << lcm_at
-                    | i << i_at
-                    | r << 1
-                ) < key:
-                    key |= 1
-            keys[i] = key
-            heappush(pairs, key)
             pending[i] |= bit_k
         leads.append(lm)
-        exps.append(ek)
         excess.append(xk)
         monic.append(d)
         pending.append(partners)
@@ -371,15 +332,12 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         if deadline is not None and time.monotonic() > deadline:
             raise GroebnerTimeout(late, stats)
         key = heappop(pairs)
-        i = key >> i_at & imask
-        j = key >> 1 & imask
+        i = key >> _INDEX_BITS & imask
+        j = key & imask
         bit_i = 1 << i
         bit_j = 1 << j
         pending[i] ^= bit_j
         pending[j] ^= bit_i
-        if key & 1:
-            stats["chain_skipped"] += 1
-            continue
         lcm = key >> lcm_at & lcm_mask
         # chain criterion: skip the pair when some other lead t divides the
         # lcm and neither (i, t) nor (j, t) is pending.  The element that

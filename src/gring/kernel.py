@@ -69,12 +69,12 @@ class Packing:
         "outside",
         "_fmask",
         "_unit",
-        "exp_mask",
-        "exp_guard",
         "exp_shifts",
-        "key_blocks",
-        "degree_shifts",
         "_fields",
+        "_blocks",
+        "_degs",
+        "_exp_mask",
+        "_exp_guard",
     )
 
     def __init__(self, blocks, bits):
@@ -84,22 +84,18 @@ class Packing:
         self._fmask = (1 << bits) - 1
         ones = sum(1 << (f * bits) for f in range(2 * n))
         self.guard = (1 << (bits - 1)) * ones
-        #: the exponent half of the int, and its guard bits
-        self.exp_mask = (1 << ebits) - 1
-        self.exp_guard = self.guard & self.exp_mask
-        #: per block: (shift, mask, prefix-sum multiplier, key shift), from
-        #: which ``_with_key`` builds the key half
-        self.key_blocks = []
-        #: bit offset of each block's degree field
-        self.degree_shifts = []
+        self._exp_mask = (1 << ebits) - 1
+        self._exp_guard = self.guard & self._exp_mask
+        self._blocks = []  # (shift, mask, prefix-sum multiplier, key shift)
+        self._degs = []  # bit offset of each block's degree field
         fields = []  # (vid, bit offset of its exponent field), ascending
         shift = 0
         for b in reversed(blocks):  # the leftmost block ends up on top
             size = len(b)
             rep = sum(1 << (i * bits) for i in range(size))
             mask = (1 << (size * bits)) - 1
-            self.key_blocks.append((shift, mask, rep, shift + ebits))
-            self.degree_shifts.append(shift + ebits + (size - 1) * bits)
+            self._blocks.append((shift, mask, rep, shift + ebits))
+            self._degs.append(shift + ebits + (size - 1) * bits)
             fields.extend((vid, shift + i * bits) for i, vid in enumerate(b))
             shift += size * bits
         # (bit offset of the variable's Poly field, of its exponent field)
@@ -116,7 +112,7 @@ class Packing:
 
     def _with_key(self, e):
         """Exponent fields ``e`` plus the order key they determine."""
-        for shift, mask, rep, kshift in self.key_blocks:
+        for shift, mask, rep, kshift in self._blocks:
             e |= ((e >> shift & mask) * rep & mask) << kshift
         return e
 
@@ -174,7 +170,7 @@ class Packing:
     def lcm(self, a, b):
         """lcm of the packed ``a`` and ``b``; FieldOverflow if it does not
         fit."""
-        em, g = self.exp_mask, self.exp_guard
+        em, g = self._exp_mask, self._exp_guard
         ea = a & em
         eb = b & em
         ge = ((ea | g) - eb) & g  # guard bits of the fields where ea >= eb
@@ -188,7 +184,7 @@ class Packing:
         """Total degree of the packed ``x``."""
         fmask = self._fmask
         d = 0
-        for s in self.degree_shifts:
+        for s in self._degs:
             d += x >> s & fmask
         return d
 
