@@ -15,6 +15,14 @@ product whose degree outgrows the packing's fields raises
 ``kernel.FieldOverflow``; the order then repacks wider and the computation
 starts over, so an overflow never gives a wrong result.
 
+``GroebnerBasis.normal_form`` first tests each term of its input against
+the basis's leads, kept once as ``Poly`` monomials, with the same guard-bit
+test on the registry layout: every field there is at most ``EXP_MAX``, so
+no borrow crosses a field and the test is exact.  An input that no lead
+divides is already its own remainder (Cox, Little & O'Shea, *Ideals,
+Varieties, and Algorithms*, section 2.3) and comes back without being
+packed; only an input with a reducible term is converted and reduced.
+
 The pair queue is a heap of ints.  A pair (i, j), i < j, is one int that
 holds, from the top, its sugar, its packed lcm (``Packing.lcm`` of the two
 leads), i and j; so pairs pop by sugar, then lcm, then index.  The sugar is
@@ -50,7 +58,7 @@ from heapq import heappop, heappush
 
 from . import kernel
 from .errors import GroebnerTimeout
-from .poly import MonomialOrder, Poly
+from .poly import MonomialOrder, Poly, _unpack
 
 #: Counters of one ``buchberger`` run, in ``GroebnerBasis.stats``: pairs
 #: formed (each element with each earlier one), pairs dropped by the
@@ -81,14 +89,21 @@ _SCAN_MAX = 8
 class GroebnerBasis:
     """A reduced Groebner basis: monic, pairwise tail-reduced, sorted."""
 
-    __slots__ = ("polys", "order", "cofactor", "stats", "_packed")
+    __slots__ = ("polys", "order", "cofactor", "stats", "_leads", "_packed")
 
     def __init__(self, polys, order: MonomialOrder, stats=None):
         self.polys = tuple(polys)
         self.order = order
         self.cofactor = None  # set by buchberger(..., cofactor=True)
         self.stats = dict(stats or {})  # buchberger's counters, see STATS
+        self._leads = None  # the Poly monomials of the leads
         self._packed = None  # (packing, reducers packed with it)
+
+    def _lead_monomials(self):
+        """The leads as ``Poly`` monomials, found once."""
+        if self._leads is None:
+            self._leads = tuple(map(self.order.lead_monomial, self.polys))
+        return self._leads
 
     def _reducers(self, packing):
         """The basis as ``kernel.reduce_nd`` reducers in ``packing``."""
@@ -106,19 +121,36 @@ class GroebnerBasis:
     def normal_form(self, p: Poly) -> Poly:
         """Unique remainder of p; zero iff p lies in the ideal.
 
-        Raises ForeignVariable when p has a variable outside the order and
-        the basis is not empty; the zero ideal leaves every p alone.
+        A p none of whose terms a lead divides is its own remainder: it
+        comes back without being packed or reduced.  Either way an
+        integral coefficient comes back as an ``int``.  Raises
+        ForeignVariable, naming a variable of the first term that has
+        one, when p has a variable outside the order and the basis is not
+        empty; the zero ideal checks no variable.
         """
-        if not self.polys or p.is_zero():
+        if p.is_zero():
             return p
+        if self.polys:
+            # the guard-bit divisibility test of ``kernel``, on Poly
+            # monomials: every field is at most EXP_MAX, so none borrows
+            guard = p.registry.guard
+            outside = self.order.packing.outside
+            leads = self._lead_monomials()
+            for m in p._t:
+                if m & outside:  # named as packing would name it
+                    raise self.order._foreign(m)
+                mg = m | guard
+                for lead in leads:
+                    if (mg - lead) & guard == guard:
+                        return self.order.repacking(lambda pk: self._reduce(p, pk))
+        return p._strict()
 
-        def run(packing):
-            d, known = self.order.pack_nd(p._t)
-            r = kernel.reduce_nd(d, self._reducers(packing), packing.guard)
-            # terms the reduction left alone keep their Poly monomials
-            return Poly._raw(packing.to_frac(r, known), p.registry)
-
-        return self.order.repacking(run)
+    def _reduce(self, p, packing):
+        """Normal form of p through ``kernel.reduce_nd`` in ``packing``."""
+        d, known = self.order.pack_nd(p._t)
+        r = kernel.reduce_nd(d, self._reducers(packing), packing.guard)
+        # terms the reduction left alone keep their Poly monomials
+        return Poly._raw(packing.to_frac(r, known), p.registry)
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -129,7 +161,7 @@ class GroebnerBasis:
         )
 
     def leading_monomials(self):
-        return tuple(self.order.leading(p)[0] for p in self.polys)
+        return tuple(map(_unpack, self._lead_monomials()))
 
     def __eq__(self, other):
         return (

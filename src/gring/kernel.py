@@ -30,8 +30,10 @@ block order.  Every field is linear in the exponents, hence:
   by ``1 + 2^bits + 2^(2 bits) + ...``, which sums the prefixes.
 
 ``Packing.pack_nd`` and ``Packing.to_frac`` convert between the two
-layouts on the way into and out of the engine.  Coefficients in the
-reduction loops are normalized ``(num, den)`` pairs.
+layouts on the way into and out of the engine: for every ``buchberger``
+run, and for a normal form only when a lead divides one of the input's
+terms (an input already in normal form is never converted).
+Coefficients in the reduction loops are normalized ``(num, den)`` pairs.
 
 No function here calls ``reduce_nd``, so a run-time tracer that wraps that
 name sees only the calls from outside.

@@ -136,6 +136,16 @@ class Poly:
         p.registry = registry
         return p
 
+    def _strict(self) -> "Poly":
+        """self, or a copy with every integral ``Fraction`` coefficient
+        stored as an ``int``."""
+        for c in self._t.values():
+            if type(c) is not int and c.denominator == 1:
+                return Poly._raw(
+                    {m: _coeff(c) for m, c in self._t.items()}, self.registry
+                )
+        return self
+
     @classmethod
     def zero(cls, registry=None) -> "Poly":
         return cls._raw({}, registry if registry is not None else REGISTRY)
@@ -393,12 +403,17 @@ class MonomialOrder:
             except kernel.FieldOverflow:
                 self.packing = kernel.Packing(self.blocks, 2 * packing.bits)
 
-    def leading(self, p: Poly):
-        """(tuple monomial, coefficient) of the leading term, the one with
-        the largest packed int; p must be nonzero.  Raises ForeignVariable
-        for a variable outside the order."""
+    def lead_monomial(self, p: Poly) -> int:
+        """``Poly`` monomial of the leading term, the one with the largest
+        packed int; p must be nonzero.  Raises ForeignVariable for a
+        variable outside the order."""
         nd, known = self.repacking(lambda _: self.pack_nd(p._t))
-        m = known[max(nd)]
+        return known[max(nd)]
+
+    def leading(self, p: Poly):
+        """(tuple monomial, coefficient) of the leading term (see
+        ``lead_monomial``)."""
+        m = self.lead_monomial(p)
         return _unpack(m), p._t[m]
 
     def monic(self, p: Poly) -> Poly:

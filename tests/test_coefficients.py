@@ -79,6 +79,26 @@ def test_kernel_outputs():
         assert E.nf(parse_poly(text) * inv) == 1
 
 
+@pytest.mark.parametrize("label", ["KF2", "KF3", "E(3,4)"])
+def test_nf_stores_integral_coefficients_as_int(label):
+    R = {
+        "KF2": lambda: build_KF(2),
+        "KF3": lambda: KF3,
+        "E(3,4)": lambda: build_E(3, 4),
+    }[label]()
+    reg = R.registry
+    one = Poly.const(Fraction(1, 2), reg) * 2  # holds Fraction(1, 1)
+    assert type(one.constant_term()) is Fraction
+    v = Poly.variable(reg.name(R.vids[-1]), reg)
+    inputs = [one * v, one * v * v + Fraction(3, 2) * v - one]  # normal
+    for b in R.gb.polys[:2]:  # reducible
+        inputs.append(one * b * v + one * v)
+    for p in inputs:
+        got = R.nf(p)
+        _strict(got)
+        assert R.nf(got) == got
+
+
 def test_monic_is_exact_not_float():
     x = Poly.variable("x")
     order = degrevlex([x.registry.lookup("x")])
@@ -149,3 +169,4 @@ def test_int_storage_matches_all_fraction_inputs(tp, tq, k):
         assert got == ref
         assert got.render() == ref.render()
     _strict(KF3.nf(p * q + q))
+    _strict(KF3.nf(pf * qf + qf))

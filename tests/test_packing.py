@@ -206,8 +206,9 @@ def test_narrowest_width_gives_reference_bases(monkeypatch):
     assert ring.invert(elem, E) == reference_invert(elem, E)
 
     # a normal form past the width the basis was packed with repacks the
-    # basis too
-    p = kf.lam(1) ** 200 + kf.lam(2) * kf.lam(3)
+    # basis too; the w123^2 factor makes the input reducible, so it is
+    # packed at all
+    p = kf.lam(1) ** 200 * kf.w(1, 2, 3) ** 2 + kf.lam(2) * kf.lam(3)
     bits = kf.order.packing.bits
     got = kf.nf(p)
     assert kf.order.packing.bits > bits
