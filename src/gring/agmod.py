@@ -7,6 +7,12 @@ closed multiplication table with structure constants given by the
 canonical ``m``/``w`` symbols; coefficient dictionaries are canonicalized
 (normal forms plus the syzygy rewriting described on AElem), so equality
 of elements is equality of dictionaries.
+
+A word embeds through the letter map g_k -> lam_k +- v_k.  Since
+v_k^2 = -m(k,k) = lam_k^2 - 1, a syllable has the closed form
+(lam_k +- v_k)^e = T_e(lam_k) +- U_{e-1}(lam_k) v_k for e >= 1, with
+a_1 = lam_k, b_1 = 1 and a <- a*lam_k - b*m(k,k), b <- a + b*lam_k;
+``embed_word`` multiplies by it one syllable at a time.
 """
 
 from __future__ import annotations
@@ -359,13 +365,50 @@ def embed_generator(ring: KFRing, i: int, exponent_sign: int = 1) -> AElem:
     return AElem(ring, ring.lam(i), {i: one if exponent_sign > 0 else -one})
 
 
+def _syllable(ring: KFRing, k: int, e: int):
+    """(a, b) with g_k^e embedding to a + b*v_k (see ``embed_word``)."""
+    lam = ring.lam(k)
+    mkk = ring.m(k, k)
+    a, b = lam, Poly.one(ring.registry)
+    for _ in range(abs(e) - 1):
+        a, b = a * lam - b * mkk, a + b * lam
+    return a, (b if e > 0 else -b)
+
+
+def _times_syllable(x: AElem, k: int, a: Poly, b: Poly) -> AElem:
+    """x * (a + b*v_k) for scalars a, b, by the rows of the table that end
+    in v_k: v_j*v_k = -m(j,k) + b_jk, b_ij*v_k = -w(i,j,k) + m(i,k) v_j -
+    m(j,k) v_i."""
+    ring = x.ring
+    out_s = x.scalar * a
+    out_v = {i: p * a for i, p in x.vec.items()}
+    out_b = {ij: p * a for ij, p in x.brk.items()}
+    _acc(out_v, k, x.scalar * b)
+    for j, p in x.vec.items():
+        c = p * b
+        out_s = out_s - c * ring.m(j, k)
+        _acc_b(out_b, j, k, c)
+    for (i, j), p in x.brk.items():
+        c = p * b
+        out_s = out_s - c * ring.w(i, j, k)
+        _acc(out_v, j, c * ring.m(i, k))
+        _acc(out_v, i, -(c * ring.m(j, k)))
+    return AElem(ring, out_s, out_v, out_b)
+
+
 def embed_word(ring: KFRing, w: Word) -> AElem:
-    """Left-to-right product of generator images over the word's letters."""
+    """Left-to-right product of generator images over the word's letters.
+
+    Multiplies one syllable g_k^e at a time.  As v_k^2 = -m(k,k) =
+    lam_k^2 - 1, (lam_k + v_k)^|e| = a + b*v_k with a = T_|e|(lam_k) and
+    b = U_|e|-1(lam_k): a_1 = lam_k, b_1 = 1, and each further letter
+    steps a <- a*lam_k - b*m(k,k), b <- a + b*lam_k.  A negative e flips
+    the sign of b.  The running product takes each syllable in one product
+    from the table and one canonicalization.
+    """
     out = AElem.one(ring)
-    for g, e in w.syllables:
-        letter = embed_generator(ring, g, 1 if e > 0 else -1)
-        for _ in range(abs(e)):
-            out = out * letter
+    for k, e in w.syllables:
+        out = _times_syllable(out, k, *_syllable(ring, k, e))
     return out
 
 

@@ -212,11 +212,13 @@ class Poly:
         if self.registry is not other.registry:
             raise MismatchedRegistry("operands from different registries")
 
+    # Each operator tests for a Poly first: isinstance against Fraction
+    # goes through ABCMeta.__instancecheck__ and is far slower.
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other, self.registry)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         self._check(other)
         return Poly._raw(kernel.poly_add(self._t, other._t), self.registry)
 
@@ -226,24 +228,24 @@ class Poly:
         return Poly._raw({m: -c for m, c in self._t.items()}, self.registry)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other, self.registry)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            return Poly._raw(kernel.poly_scale(self._t, c), self.registry)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            self._check(other)
+            t = kernel.poly_mul(self._t, other._t, self.registry.guard)
+            return Poly._raw(t, self.registry)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check(other)
-        t = kernel.poly_mul(self._t, other._t, self.registry.guard)
-        return Poly._raw(t, self.registry)
+        c = _coeff(other)
+        return Poly._raw(kernel.poly_scale(self._t, c), self.registry)
 
     __rmul__ = __mul__
 
@@ -260,10 +262,10 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.registry)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other, self.registry)
         return self.registry is other.registry and self._t == other._t
 
     def __hash__(self):
@@ -288,13 +290,17 @@ class Poly:
             amap[s] = val
             assigned |= EXP_MASK << s
         guard = self.registry.guard
+        powers = {}  # (field offset, exponent) -> terms of that power
         out = {}
         for m, c in self._t.items():
             term = {m & ~assigned: c}
             for s, p in amap.items():
                 e = m >> s & EXP_MASK
                 if e:
-                    term = kernel.poly_mul(term, (p ** e)._t, guard)
+                    pe = powers.get((s, e))
+                    if pe is None:
+                        pe = powers[(s, e)] = (p ** e)._t
+                    term = kernel.poly_mul(term, pe, guard)
             out = kernel.poly_add(out, term)
         return Poly._raw(out, self.registry)
 

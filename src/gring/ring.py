@@ -178,6 +178,22 @@ class KFRing(QuotientRing):
         self._lam = symbols("lam", 1)
         self._m = symbols("m", 2)
         self._w = symbols("w", 3)
+        # m(i,j) and w(i,j,k) for every index tuple in range, made once
+        idx = range(1, n + 1)
+        self._m_of = {}
+        for i, j in product(idx, repeat=2):
+            if i == j:
+                li = self._var[self._lam[i]]
+                self._m_of[(i, j)] = Poly.one(reg) - li * li
+            else:
+                self._m_of[(i, j)] = self._var[self._m[tuple(sorted((i, j)))]]
+        self._w_signed_of = {}
+        self._w_of = {}
+        for t in product(idx, repeat=3):
+            sign = _perm_sign(t)
+            p = self._var[self._w[tuple(sorted(t))]] if sign else Poly.zero(reg)
+            self._w_signed_of[t] = sign, p
+            self._w_of[t] = p if sign >= 0 else -p
         lam_vids = list(self._lam.values())
         m_vids = list(self._m.values())
         w_vids = list(self._w.values())
@@ -204,30 +220,24 @@ class KFRing(QuotientRing):
 
     def m(self, i: int, j: int) -> Poly:
         """Canonical pairwise symbol: m(i,i) rewrites to 1 - lam_i^2."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+        p = self._m_of.get((i, j))
+        if p is None:
             raise ForeignVariable("pair index out of range")
-        if i == j:
-            one = Poly.one(self.registry)
-            li = self.lam(i)
-            return one - li * li
-        if i > j:
-            i, j = j, i
-        return self._var[self._m[(i, j)]]
+        return p
 
     def w(self, i: int, j: int, k: int) -> Poly:
         """Fully alternating triple symbol as a signed canonical variable."""
-        sign, p = self.w_signed(i, j, k)
-        return p if sign >= 0 else -p
+        p = self._w_of.get((i, j, k))
+        if p is None:
+            raise ForeignVariable("triple index out of range")
+        return p
 
     def w_signed(self, i: int, j: int, k: int):
         """(sign, canonical variable Poly); sign 0 with zero Poly on repeats."""
-        for idx in (i, j, k):
-            if not 1 <= idx <= self.n:
-                raise ForeignVariable("triple index out of range")
-        sign = _perm_sign((i, j, k))
-        if sign == 0:
-            return 0, Poly.zero(self.registry)
-        return sign, self._var[self._w[tuple(sorted((i, j, k)))]]
+        sp = self._w_signed_of.get((i, j, k))
+        if sp is None:
+            raise ForeignVariable("triple index out of range")
+        return sp
 
     def split_w(self, p: Poly):
         """Split a normal form as plain + sum over triples of w_T * rest.
@@ -236,6 +246,8 @@ class KFRing(QuotientRing):
         pair of them leads a defining relation), so the decomposition is a
         plain term split.  Returns (w_free_poly, {triple: cofactor_poly}).
         """
+        if not self._w:
+            return p, {}
         plain = p
         cof = {}
         present = set(p.variables())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -322,3 +323,37 @@ def test_poly_ops_match_tuple_ops(tp, tq, v, k, e):
         slots, width = order_slots(PROP_ORDER)
         lead = max(tp, key=lambda m: mono_key(m, slots, width))
         assert PROP_ORDER.leading(p) == (lead, tp[lead])
+
+
+def term_by_term_substitute(p, amap):
+    """Frozen: the image of each term with every assigned power taken anew."""
+    out = Poly.zero(p.registry)
+    for mono, c in p.terms():
+        term = Poly.const(c, p.registry)
+        for v, e in mono:
+            factor = amap[v] ** e if v in amap else Poly({((v, e),): 1}, p.registry)
+            term = term * factor
+        out = out + term
+    return out
+
+
+def test_substitute_matches_term_by_term_powers():
+    # many terms over few exponents, so one power serves several terms
+    rng = random.Random(2030)
+    a, b, c, d = (PROP.lookup(n) for n in "abcd")
+    for _ in range(40):
+        tp = {}
+        for _ in range(12):
+            mono = tuple(sorted((v, rng.randint(1, 3)) for v in rng.sample((a, b, c, d), 2)))
+            tp[mono] = rng.choice((1, -2, Fraction(3, 4)))
+        p = Poly(tp, PROP)
+        amap = {
+            a: Poly({((b, 1),): 1, (): Fraction(-1, 2)}, PROP),
+            c: Poly({((d, 2), (b, 1)): 3}, PROP),
+        }
+        got = p.substitute(amap)
+        want = term_by_term_substitute(p, amap)
+        assert got == want
+        assert {m: type(v) for m, v in got._t.items()} == {
+            m: type(v) for m, v in want._t.items()
+        }

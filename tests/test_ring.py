@@ -40,6 +40,42 @@ def test_canonical_w_signs():
     assert s == 0 and p.is_zero()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symbol_tables_match_their_definitions(n):
+    ring = build_KF(n)
+    idx = range(1, n + 1)
+    for i, j in itertools.product(idx, repeat=2):
+        lo, hi = min(i, j), max(i, j)
+        want = 1 - ring.lam(i) ** 2 if i == j else Poly.variable(f"m{lo}{hi}")
+        assert ring.m(i, j) == want
+    for t in itertools.product(idx, repeat=3):
+        sign, p = ring.w_signed(*t)
+        if len(set(t)) < 3:
+            assert sign == 0 and p.is_zero() and ring.w(*t).is_zero()
+            continue
+        assert p == Poly.variable("w" + "".join(map(str, sorted(t))))
+        perm = sorted(range(3), key=t.__getitem__)
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        assert sign == (-1) ** inversions
+        assert ring.w(*t) == sign * p
+    for bad in (0, n + 1):
+        with pytest.raises(ForeignVariable):
+            ring.m(bad, 1)
+        with pytest.raises(ForeignVariable):
+            ring.m(1, bad)
+        with pytest.raises(ForeignVariable):
+            ring.w(1, 1, bad)
+        with pytest.raises(ForeignVariable):
+            ring.w_signed(bad, 1, 1)
+
+
+def test_split_w_without_triple_symbols():
+    ring = build_KF(2)
+    p = ring.nf(ring.lam(1) * ring.m(1, 2) + 2)
+    plain, cof = ring.split_w(p)
+    assert plain is p and cof == {}
+
+
 def test_build_KF_small_ranks():
     assert build_KF(1).gb.polys == ()
     assert build_KF(1).var_names() == ["lam1"]
