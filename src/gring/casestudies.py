@@ -6,11 +6,18 @@ polynomial ring over a finite algebra E; a degree bound plus an explicit
 unit certificate for a leading coefficient yields a machine-checkable
 certificate that w^r cannot normally generate the group.  For
 C_r * C_s * C_t the analogous specialization lands in a four-variable
-quadric ring; the driver verifies the structural identities satisfied by
-the five ideal generators attached to a word and, optionally, that they
-generate a proper ideal.  ``boyer_certificate`` and ``sw_verify`` bound
-their basis computations by an optional ``deadline``, a
-``time.monotonic()`` value.
+quadric ring A over E'; the driver verifies the structural identities
+satisfied by the five ideal generators attached to a word and, optionally,
+that they generate a proper ideal.  Properness is decided on the rational
+points of E' first (``SWRings.properness``): if the generators together
+with the linear forms of one point generate a proper ideal, so do the
+generators alone, and the reduced basis of that larger ideal, which has
+no constant, is the evidence.  Only when every point gives the unit ideal
+does the full basis of the five generators decide, so a "whole-ring"
+answer costs the point bases plus the full basis.
+``boyer_certificate`` and ``sw_verify`` bound their basis computations by
+an optional ``deadline``, a ``time.monotonic()`` value that covers every
+basis of the call.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .agmod import AElem, bracket, dot, embed_word
 from .errors import (
@@ -28,7 +36,7 @@ from .errors import (
     NotAUnit,
 )
 from .poly import REGISTRY, Poly, block_order, chebyshev_like, degrevlex
-from .ring import QuotientRing, build_KF, cached_ring, invert
+from .ring import QuotientRing, build_KF, cached_ring, invert, is_whole_ring
 from .words import Word
 
 
@@ -300,8 +308,13 @@ def _quadric() -> Poly:
 
 
 def _make_A4() -> QuotientRing:
-    """The quadric ring: x, y, u, v modulo (1-x^2)(1-y^2) = u^2 + v^2."""
-    vids = tuple(REGISTRY.var(n) for n in _QUADRIC_NAMES)
+    """The quadric ring: x, y, u, v modulo (1-x^2)(1-y^2) = u^2 + v^2.
+
+    Ordered by degrevlex over (v, u, y, x): the probe's bases in this order
+    are several times cheaper than over (x, y, u, v).  No basis of A4 is
+    part of any output.
+    """
+    vids = tuple(REGISTRY.var(n) for n in reversed(_QUADRIC_NAMES))
     return QuotientRing(
         vids,
         [_quadric()],
@@ -318,6 +331,25 @@ def _sine_relations():
         s = Poly.variable(f"s{i}")
         rels.append(s * s + mu * mu - 1)
     return rels
+
+
+def rational_points(i: int, n: int):
+    """The rational points of the i-th factor of E', for a factor of order n.
+
+    Each point is the list of linear forms vanishing on it.  The roots of
+    the degree-n member are cos(k pi/n), 0 < k < n, and by Niven's theorem
+    such a cosine is rational only when it is 0 or +-1/2: mu_i = 0 (where
+    s_i = +-1) when n is even, and mu_i = +-1/2 (where s_i^2 = 3/4 has no
+    rational root) when 3 divides n.
+    """
+    mu, s = Poly.variable(f"mu{i}"), Poly.variable(f"s{i}")
+    points = []
+    if n % 2 == 0:
+        points += [[mu, s - 1], [mu, s + 1]]
+    if n % 3 == 0:
+        half = Fraction(1, 2)
+        points += [[mu - half], [mu + half]]
+    return points
 
 
 def _sw_theta_map() -> dict:
@@ -396,6 +428,41 @@ class SWRings:
             + mu1 * mu2 * s1 * s3 * y
             + s1 * s1 * mu2 * mu3
         )
+
+    def points(self):
+        """The rational points of E', as lists of linear forms.
+
+        The product over the three factors of ``rational_points``, in a
+        fixed order; a factor without one contributes no forms.  Empty
+        when no factor has a rational point.
+        """
+        orders = ((1, self.r), (2, self.s), (3, self.t))
+        per_factor = [rational_points(i, n) for i, n in orders]
+        if not any(per_factor):
+            return []
+        return [sum(point, []) for point in product(*(p or [[]] for p in per_factor))]
+
+    def properness(self, gens, deadline=None) -> str:
+        """Whether <gens> is a proper ideal of A: "proper", "whole-ring" or
+        "timeout".
+
+        Each rational point P of E' is tried first: when <gens> + P is a
+        proper ideal, so is its subideal <gens>, and the basis of
+        <gens> + P, which has no constant, is the evidence.  A point's
+        forms remove up to two variables per factor, so its basis is
+        usually much smaller than the full one.  When every point gives the
+        unit ideal, or E' has no rational point, the reduced basis of
+        <gens> itself decides.  ``deadline`` is an optional
+        ``time.monotonic()`` value covering every basis; exceeding it is
+        reported as "timeout".
+        """
+        try:
+            for forms in self.points():
+                if not is_whole_ring([*gens, *forms], self.A, deadline):
+                    return "proper"
+            return "whole-ring" if is_whole_ring(gens, self.A, deadline) else "proper"
+        except GroebnerTimeout:
+            return "timeout"
 
     @staticmethod
     def J_gens():
@@ -484,9 +551,13 @@ def sw_verify(
     in the ideal <u, v, 1-x^2, 1-y^2>.  Failures of (a) or (b) indicate an
     engine bug, and are reported with the offending normal form.  With
     ``check_properness`` the five elements are tested to generate a proper
-    ideal of A; ``deadline`` is an optional ``time.monotonic()`` value for
-    that basis, and exceeding it is reported as properness "timeout", not
-    raised.
+    ideal of A by ``SWRings.properness``: "proper" rests on a reduced basis
+    without a constant, either of the five elements plus the linear forms
+    of a rational point of E' or, when every point gives the unit ideal,
+    of the five elements alone.  "whole-ring" costs the point bases plus
+    the full basis.  ``deadline`` is an optional ``time.monotonic()`` value
+    covering every one of these bases, and exceeding it is reported as
+    properness "timeout", not raised.
     """
     rings = sw_build(inst.r, inst.s, inst.t)
     report = CheckReport("sw-verify", inst.describe())
@@ -512,11 +583,7 @@ def sw_verify(
         "" if resid.is_zero() else resid.render(),
     )
     if check_properness:
-        try:
-            gb = rings.A.ideal_gb([w1, w2, w2p, w3, w3p], deadline=deadline)
-            report.properness = "whole-ring" if gb.is_unit_ideal() else "proper"
-        except GroebnerTimeout:
-            report.properness = "timeout"
+        report.properness = rings.properness([w1, w2, w2p, w3, w3p], deadline)
     return report
 
 
@@ -633,8 +700,7 @@ def conjecture_probe(
         for i in range(4):
             for j in range(4):
                 a = a + q1[i] * M[i][j] * q2[j]
-        gb = A4.ideal_gb([a, wprime + alpha])
-        if gb.is_unit_ideal():
+        if is_whole_ring([a, wprime + alpha], A4):
             whole += 1
             report.add(
                 f"trial-{trial}",

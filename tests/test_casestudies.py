@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from gring.casestudies import (
     build_E,
     conjecture_probe,
     normalize_unit_exponents,
+    rational_points,
     sw_build,
     sw_elements,
     sw_static_checks,
@@ -20,8 +22,8 @@ from gring.casestudies import (
 )
 from gring.errors import InvalidInstance
 from gring.ideals import Verdict, normally_generates_check
-from gring.poly import REGISTRY, Poly
-from gring.ring import QuotientRing, build_KF, degrevlex
+from gring.poly import REGISTRY, Poly, chebyshev_like
+from gring.ring import QuotientRing, build_KF, degrevlex, is_whole_ring
 from gring.words import Word, parse_presentation, parse_word
 
 N2 = ["g1", "g2"]
@@ -71,8 +73,6 @@ def test_instance_validation():
 
 
 def test_sine_squares_are_units_in_E():
-    from gring.ring import is_whole_ring
-
     E = build_E(5, 7)
     s1 = V("s1")
     assert is_whole_ring([s1 * s1], E)
@@ -223,6 +223,107 @@ def test_sw_properness_for_product_word():
         deadline=time.monotonic() + 900,
     )
     assert rep.properness == "proper"
+
+
+def _permutation_word(rng, orders):
+    """Each generator once, in a seeded order, with exponent 1 or (for a
+    factor of order at most 3) 1 - order."""
+    gens = [1, 2, 3]
+    rng.shuffle(gens)
+    sylls = []
+    for g in gens:
+        n = orders[g - 1]
+        sylls.append((g, rng.choice((1, 1 - n)) if n <= 3 else 1))
+    return Word.from_syllables(sylls)
+
+
+@pytest.mark.parametrize(
+    "orders, words",
+    [((2, 3, 5), 2), ((2, 3, 7), 2), ((2, 3, 9), 2), ((2, 4, 5), 2),
+     ((2, 5, 7), 2), ((3, 3, 4), 1)],
+)
+def test_properness_matches_the_full_basis(orders, words):
+    rings = sw_build(*orders)
+    rng = random.Random(sum(orders))
+    for _ in range(words):
+        inst = SWInstance(*orders, _permutation_word(rng, orders))
+        gens = sw_elements(inst, rings)
+        full = "whole-ring" if is_whole_ring(gens, rings.A) else "proper"
+        assert rings.properness(gens) == full == "proper"
+
+
+def test_properness_falls_back_to_the_full_basis():
+    # mu2 = +-1/sqrt(2) are roots for order 4, but no rational point of
+    # E'(2,4,5) has 2*mu2^2 = 1: every point gives the unit ideal
+    rings = sw_build(2, 4, 5)
+    gens = [2 * V("mu2") ** 2 - 1]
+    assert len(rings.points()) == 4
+    assert all(is_whole_ring(gens + forms, rings.A) for forms in rings.points())
+    assert rings.properness(gens) == "proper"
+
+
+def test_properness_whole_ring():
+    assert sw_build(2, 4, 5).properness([V("mu1") - 5]) == "whole-ring"
+    assert sw_build(3, 5, 7).properness([V("s2") ** 2 - 1]) == "whole-ring"
+
+
+def test_properness_without_rational_points():
+    rings = sw_build(5, 5, 7)
+    assert rings.points() == []
+    # order 5 has no root 0, but mu1 = mu2 on the factors where they agree
+    assert rings.properness([V("mu1") - V("mu2")]) == "proper"
+    assert rings.properness([V("mu1") * V("mu2")]) == "whole-ring"
+
+
+def test_properness_past_deadline_is_a_timeout():
+    rings = sw_build(2, 3, 5)
+    past = time.monotonic() - 1
+    assert rings.properness([V("mu1") * V("x")], deadline=past) == "timeout"
+    rep = sw_verify(
+        SWInstance(2, 3, 5, W3("g1*g2*g3")), check_properness=True, deadline=past
+    )
+    assert rep.properness == "timeout"
+
+
+def _rational_roots(n):
+    """Rational roots of the degree-n member, by the rational root theorem:
+    its leading coefficient is 2^(n-1) and its roots lie in (-1, 1)."""
+    xv = REGISTRY.var("x")
+    p = chebyshev_like(n)
+    coeffs = [p.coefficient_in(xv, k).constant_term() for k in range(n)]
+    den = 2 ** (n - 1)
+    roots = []
+    for num in range(1 - den, den):
+        c = Fraction(num, den)
+        val = 0
+        for a in reversed(coeffs):
+            val = val * c + a
+        if val == 0:
+            roots.append(c)
+    return roots
+
+
+def _rational_sqrt(q):
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return root if root * root == q else None
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rational_points_follow_niven(n):
+    mu, s = V("mu1"), V("s1")
+    expected = set()
+    for c in _rational_roots(n):
+        root = _rational_sqrt(1 - c * c)
+        if root is None:
+            expected.add(frozenset([mu - c]))
+        else:
+            expected |= {frozenset([mu - c, s - root]), frozenset([mu - c, s + root])}
+    points = rational_points(1, n)
+    assert {frozenset(p) for p in points} == expected
+    assert len(points) == len(expected)
+    eprime = sw_build(n, 2, 2).eprime
+    for forms in points:
+        assert not is_whole_ring(forms, eprime)
 
 
 def test_sw_static_checks_all_pass():
