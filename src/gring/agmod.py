@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import GringError
-from .poly import Poly, chebyshev_like
+from .poly import REGISTRY, Poly, chebyshev_like
 from .ring import KFRing
 from .words import Word
 
@@ -64,7 +64,7 @@ class AElem:
     def __init__(self, ring: KFRing, scalar=None, vec=None, brk=None):
         self.ring = ring
         nf = ring.nf
-        s = scalar if scalar is not None else Poly.zero(ring.registry)
+        s = scalar if scalar is not None else Poly.zero()
         self.scalar = nf(s)
         vec_nf = {}
         for i, p in (vec or {}).items():
@@ -115,7 +115,7 @@ class AElem:
 
     @staticmethod
     def one(ring: KFRing) -> "AElem":
-        return AElem(ring, scalar=Poly.one(ring.registry))
+        return AElem(ring, scalar=Poly.one())
 
     @staticmethod
     def from_scalar(ring: KFRing, p: Poly) -> "AElem":
@@ -123,14 +123,14 @@ class AElem:
 
     @staticmethod
     def basis_v(ring: KFRing, i: int) -> "AElem":
-        return AElem(ring, vec={i: Poly.one(ring.registry)})
+        return AElem(ring, vec={i: Poly.one()})
 
     @staticmethod
     def basis_b(ring: KFRing, i: int, j: int) -> "AElem":
         """The bracket basis element [v_i, v_j] with sign canonicalization."""
         if i == j:
             return AElem(ring)
-        c = Poly.one(ring.registry)
+        c = Poly.one()
         if i > j:
             i, j = j, i
             c = -c
@@ -147,10 +147,10 @@ class AElem:
             self._check(other)
             vec = dict(self.vec)
             for i, p in other.vec.items():
-                vec[i] = vec.get(i, Poly.zero(self.ring.registry)) + p
+                vec[i] = vec.get(i, Poly.zero()) + p
             brk = dict(self.brk)
             for ij, p in other.brk.items():
-                brk[ij] = brk.get(ij, Poly.zero(self.ring.registry)) + p
+                brk[ij] = brk.get(ij, Poly.zero()) + p
             return AElem(self.ring, self.scalar + other.scalar, vec, brk)
         return NotImplemented
 
@@ -168,7 +168,7 @@ class AElem:
     def scale(self, p) -> "AElem":
         """Multiplication by a central scalar (Poly or exact number)."""
         if not isinstance(p, Poly):
-            p = Poly.const(p, self.ring.registry)
+            p = Poly.const(p)
         return AElem(
             self.ring,
             self.scalar * p,
@@ -299,7 +299,7 @@ def dot(a: AElem, b: AElem) -> Poly:
     _require_lambda(b, "dot")
     a._check(b)
     ring = a.ring
-    out = Poly.zero(ring.registry)
+    out = Poly.zero()
     for i, p in a.vec.items():
         for j, q in b.vec.items():
             out = out + p * q * ring.m(i, j)
@@ -361,7 +361,7 @@ def embed_generator(ring: KFRing, i: int, exponent_sign: int = 1) -> AElem:
     """Image of a generator letter: lam_i + v_i (inverse: lam_i - v_i)."""
     if exponent_sign not in (1, -1):
         raise ValueError("exponent sign must be +1 or -1")
-    one = Poly.one(ring.registry)
+    one = Poly.one()
     return AElem(ring, ring.lam(i), {i: one if exponent_sign > 0 else -one})
 
 
@@ -369,7 +369,7 @@ def _syllable(ring: KFRing, k: int, e: int):
     """(a, b) with g_k^e embedding to a + b*v_k (see ``embed_word``)."""
     lam = ring.lam(k)
     mkk = ring.m(k, k)
-    a, b = lam, Poly.one(ring.registry)
+    a, b = lam, Poly.one()
     for _ in range(abs(e) - 1):
         a, b = a * lam - b * mkk, a + b * lam
     return a, (b if e > 0 else -b)
@@ -421,7 +421,7 @@ def power_bar(ring: KFRing, g: Word, h: Word, k: Word, n: int) -> Poly:
     barh = embed_word(ring, h).bar()
     bar_ghk = embed_word(ring, g * h * k).bar()
     bar_gk = embed_word(ring, g * k).bar()
-    x = ring.registry.var("x")
-    pn = chebyshev_like(n, ring.registry).substitute({x: barh})
-    pn1 = chebyshev_like(n - 1, ring.registry).substitute({x: barh})
+    x = REGISTRY.var("x")
+    pn = chebyshev_like(n).substitute({x: barh})
+    pn1 = chebyshev_like(n - 1).substitute({x: barh})
     return ring.nf(bar_ghk * pn - bar_gk * pn1)

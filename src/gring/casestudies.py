@@ -122,10 +122,8 @@ def make_E(s: int, t: int) -> QuotientRing:
         s1 * s1 + mu1 * mu1 - 1,
         s2 * s2 + mu2 * mu2 - 1,
     ]
-    order = block_order((xv,), tuple(evars), registry=REGISTRY)
-    return QuotientRing(
-        (xv, *evars), rels, order=order, registry=REGISTRY, label=f"E({s},{t})[x]"
-    )
+    order = block_order((xv,), tuple(evars))
+    return QuotientRing((xv, *evars), rels, order=order, label=f"E({s},{t})[x]")
 
 
 def boyer_theta(p: Poly, E: QuotientRing) -> Poly:
@@ -141,7 +139,7 @@ def boyer_theta(p: Poly, E: QuotientRing) -> Poly:
 def _x_remainder_mod_quadric(p: Poly) -> Poly:
     """Remainder of p on division by 1 - x^2 (fold x^k to x^(k mod 2))."""
     xvid = REGISTRY.var("x")
-    out = Poly.zero(p.registry)
+    out = Poly.zero()
     deg = p.degree_in(xvid)
     if deg == float("-inf"):
         return p
@@ -318,8 +316,7 @@ def _make_A4() -> QuotientRing:
     return QuotientRing(
         vids,
         [_quadric()],
-        order=degrevlex(vids, REGISTRY),
-        registry=REGISTRY,
+        order=degrevlex(vids),
         label="A4",
     )
 
@@ -395,15 +392,13 @@ class SWRings:
         self.eprime = QuotientRing(
             evids,
             erels,
-            order=degrevlex(evids, REGISTRY),
-            registry=REGISTRY,
+            order=degrevlex(evids),
             label=f"E'({r},{s},{t})",
         )
         self.A = QuotientRing(
             vids,
             erels + [_quadric()],
-            order=degrevlex(vids, REGISTRY),
-            registry=REGISTRY,
+            order=degrevlex(vids),
             label=f"A({r},{s},{t})",
         )
         self._sub = _sw_theta_map()
@@ -478,8 +473,8 @@ def sw_build(r: int, s: int, t: int) -> SWRings:
 
 def _relation_matrix():
     x, y, u, v = (Poly.variable(n) for n in _QUADRIC_NAMES)
-    one = Poly.one(REGISTRY)
-    zero = Poly.zero(REGISTRY)
+    one = Poly.one()
+    zero = Poly.zero()
     N = [
         [-u, v, 1 - x * x, zero],
         [-v, -u, zero, 1 - x * x],
@@ -565,7 +560,7 @@ def sw_verify(
     N, _ = _relation_matrix()
     vecw = (w2, w2p, w3, w3p)
     for rix, row in enumerate(N, start=1):
-        acc = Poly.zero(REGISTRY)
+        acc = Poly.zero()
         for a, b in zip(row, vecw):
             acc = acc + a * b
         resid = rings.A.nf(acc)
@@ -595,7 +590,7 @@ def sw_static_checks() -> CheckReport:
     N, M = _relation_matrix()
     for i in range(4):
         for j in range(4):
-            entry = Poly.zero(REGISTRY)
+            entry = Poly.zero()
             for k in range(4):
                 entry = entry + N[i][k] * M[k][j]
             resid = A4.nf(entry)
@@ -636,8 +631,7 @@ def sw_static_checks() -> CheckReport:
     Awd = QuotientRing(
         vids,
         _sine_relations() + [_quadric()],
-        order=degrevlex(vids, REGISTRY),
-        registry=REGISTRY,
+        order=degrevlex(vids),
         label="A-welldef",
     )
     resid = Awd.nf(relation.substitute(_sw_theta_map()))
@@ -679,10 +673,10 @@ def conjecture_probe(
     x, y = Poly.variable("x"), Poly.variable("y")
     _, M = _relation_matrix()
     jgens = SWRings.J_gens()
-    wprime = c3 * x * y + c2 * y + c1 * x + Poly.const(c0, REGISTRY)
+    wprime = c3 * x * y + c2 * y + c1 * x + Poly.const(c0)
 
     def rand_poly():
-        out = Poly.const(rng.randint(-max_coeff, max_coeff), REGISTRY)
+        out = Poly.const(rng.randint(-max_coeff, max_coeff))
         for name in _QUADRIC_NAMES:
             c = rng.randint(-max_coeff, max_coeff)
             if c:
@@ -693,10 +687,10 @@ def conjecture_probe(
     for trial in range(trials):
         q1 = [rand_poly() for _ in range(4)]
         q2 = [rand_poly() for _ in range(4)]
-        alpha = Poly.zero(REGISTRY)
+        alpha = Poly.zero()
         for g in jgens:
             alpha = alpha + rand_poly() * g
-        a = Poly.zero(REGISTRY)
+        a = Poly.zero()
         for i in range(4):
             for j in range(4):
                 a = a + q1[i] * M[i][j] * q2[j]

@@ -31,10 +31,6 @@ class DuplicateGenerator(GringError):
         self.name = name
 
 
-class MismatchedRegistry(GringError):
-    """Operands belong to different variable registries."""
-
-
 class ForeignVariable(GringError):
     """A polynomial mentions a variable outside the expected variable set."""
 

@@ -58,7 +58,7 @@ from heapq import heappop, heappush
 
 from . import kernel
 from .errors import GroebnerTimeout
-from .poly import MonomialOrder, Poly, _unpack
+from .poly import REGISTRY, MonomialOrder, Poly, _unpack
 
 #: Counters of one ``buchberger`` run, in ``GroebnerBasis.stats``: pairs
 #: formed (each element with each earlier one), pairs dropped by the
@@ -133,7 +133,7 @@ class GroebnerBasis:
         if self.polys:
             # the guard-bit divisibility test of ``kernel``, on Poly
             # monomials: every field is at most EXP_MAX, so none borrows
-            guard = p.registry.guard
+            guard = REGISTRY.guard
             outside = self.order.packing.outside
             leads = self._lead_monomials()
             for m in p._t:
@@ -150,7 +150,7 @@ class GroebnerBasis:
         d, known = self.order.pack_nd(p._t)
         r = kernel.reduce_nd(d, self._reducers(packing), packing.guard)
         # terms the reduction left alone keep their Poly monomials
-        return Poly._raw(packing.to_frac(r, known), p.registry)
+        return Poly._raw(packing.to_frac(r, known))
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -208,7 +208,6 @@ def buchberger(
 
 def _buchberger(gens, order, packing, deadline, cofactor):
     """One run of ``buchberger`` with monomials packed by ``packing``."""
-    registry = order.registry
     guard, lcm_of, degree = packing.guard, packing.lcm, packing.degree
     exp_shifts = packing.exp_shifts
     fmask = (1 << packing.bits) - 1
@@ -222,7 +221,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
     # append-only, one entry per element, retired ones included
     leads = []  # packed lead
     excess = []  # sugar minus lead degree
-    monic = []  # monic dict
+    tails = []  # monic dict minus its lead, shared with ``reducers``
     pending = []  # bitset of the partners of the element's pending pairs
     retired_by = []  # bit of the element whose lead retired it, or 0
     index = {}  # lead -> element
@@ -259,6 +258,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         """Monic-normalize, install as basis element, update pair queue.
 
         Returns True when the run is over: a constant with its cofactor.
+        The element's tail keeps ``d``, so the caller must not reuse it.
         """
         lm = max(d)
         if cof is not None:
@@ -296,9 +296,10 @@ def _buchberger(gens, order, packing, deadline, cofactor):
                 | k,
             )
             pending[i] |= bit_k
+        del d[lm]
         leads.append(lm)
         excess.append(xk)
-        monic.append(d)
+        tails.append(d)
         pending.append(partners)
         retired_by.append(0)
         index[lm] = k
@@ -310,7 +311,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
                 if ((lead | guard) - lm) & guard == guard:
                     retired_by[index[lead]] = bit_k
             reducers[:] = keep
-        insort(reducers, (lm, {m: c for m, c in d.items() if m != lm}))
+        insort(reducers, (lm, d))
         return False
 
     def cut(cand, lcm):
@@ -337,8 +338,8 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         return cand
 
     def unit_basis():
-        gb = GroebnerBasis([Poly.one(registry)], order, stats)
-        gb.cofactor = Poly._raw(packing.to_frac(cof_of[0]), registry)
+        gb = GroebnerBasis([Poly.one()], order, stats)
+        gb.cofactor = Poly._raw(packing.to_frac(cof_of[0]))
         return gb
 
     known = {}  # packed -> Poly monomial of the generators' terms
@@ -395,9 +396,10 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         lmj = leads[j]
         qi = lcm - lmi
         qj = lcm - lmj
+        # both leads are 1 at the lcm and cancel: the tails make the rest
         s = kernel.nd_sub(
-            kernel.nd_shift(monic[i], qi, guard),
-            kernel.nd_shift(monic[j], qj, guard),
+            kernel.nd_shift(tails[i], qi, guard),
+            kernel.nd_shift(tails[j], qj, guard),
         )
         if not s:
             continue
@@ -423,9 +425,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
             stats["finish_reductions"] += 1
             tail = kernel.reduce_nd(tail, final, guard)
         final.append((lm, tail))
-        polys.append(
-            Poly._raw(packing.to_frac({lm: (1, 1), **tail}, known), registry)
-        )
+        polys.append(Poly._raw(packing.to_frac({lm: (1, 1), **tail}, known)))
     gb = GroebnerBasis(polys, order, stats)
     gb._packed = (packing, final)
     return gb

@@ -107,7 +107,7 @@ def hashhash_generators(L, n: int) -> IdealSpec:
 def bullet_generators(L, n: int) -> IdealSpec:
     """Generators 1 - bar(l)."""
     ring = build_KF(n)
-    one = Poly.one(ring.registry)
+    one = Poly.one()
     gens = [one - embed_word(ring, l).bar() for l in L]
     return IdealSpec(ring, _prune(ring, gens), "bullet")
 
@@ -145,7 +145,6 @@ def quotient_ring_of_presentation(
         ring.vids,
         list(ring.gb.polys) + list(extra),
         order=ring.order,
-        registry=ring.registry,
         label=f"K[{pres.render()}]",
         deadline=deadline,
     )

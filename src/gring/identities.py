@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .agmod import AElem, bar, bracket, dot, embed_word, power_bar, triple, vec
 from .errors import InvalidInstance
-from .poly import Poly, chebyshev_like
+from .poly import REGISTRY, Poly, chebyshev_like
 from .ring import build_KF
 from .words import Word, random_word
 
@@ -121,9 +121,9 @@ def _power_difference(ctx, wg):
     ring = ctx.ring
     wh = ctx.pick_short_word()
     n = ctx.rng.randint(0, 8)
-    xvid = ring.registry.var("x")
+    xvid = REGISTRY.var("x")
     barh = bar(embed_word(ring, wh))
-    pn = chebyshev_like(n, ring.registry).substitute({xvid: barh})
+    pn = chebyshev_like(n).substitute({xvid: barh})
     lhs = bar(embed_word(ring, wg * (wh ** n))) - bar(
         embed_word(ring, wg * (wh ** (-n)))
     )
@@ -302,7 +302,7 @@ def _gram_rank_bound(ctx, x, y, z, w, u, v, s, t):
     rows = (x, y, z, w)
     cols = (u, v, s, t)
     g = [[dot(a, b) for b in cols] for a in rows]
-    det = Poly.zero(ring.registry)
+    det = Poly.zero()
     import itertools
 
     for perm in itertools.permutations(range(4)):

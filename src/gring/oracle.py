@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .agmod import embed_word
 from .errors import ForeignVariable, GringError, InvalidInstance
-from .poly import Poly
+from .poly import REGISTRY, Poly
 from .ring import KFRing, build_KF
 from .words import Word, random_word
 
@@ -55,14 +55,6 @@ class Quaternion:
 
     def to_list(self):
         return [str(self.mu), str(self.a), str(self.b), str(self.c)]
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
-def quat_conj(p: Quaternion) -> Quaternion:
-    return p.conj()
 
 
 def cayley_point(x, y, z) -> Quaternion:
@@ -120,7 +112,7 @@ def eval_ring_elem(ring: KFRing, p: Poly, pt: EvalPoint) -> Fraction:
             return v
         sym = ring.symbol_of.get(vid)
         if sym is None:
-            name = ring.registry.name(vid)
+            name = REGISTRY.name(vid)
             raise ForeignVariable(f"variable {name!r} is not a ring symbol")
         kind, idx = sym
         if kind == "lam":

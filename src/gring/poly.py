@@ -4,9 +4,11 @@ Coefficients are exact rationals: a plain ``int`` whenever a constructor
 or the kernel produces an integral value, a ``fractions.Fraction`` only for
 a true fraction.  The two compare, hash and print alike, so every equality
 test in the package is exact and no coefficient is ever a float.
-Variables live in an append-only registry that hands out stable integer
-ids, letting polynomials built in different modules compose.
-A monomial is one int with a field per registry variable (see ``kernel``);
+Every polynomial, monomial order and ring of the package lives in one
+polynomial ring over the rationals, whose variables are the names in the
+append-only ``REGISTRY``; it hands out a stable integer id on a name's
+first use, and ``Poly.registry`` is the same object.
+A monomial is one int with a field per variable (see ``kernel``);
 an exponent past ``kernel.EXP_MAX`` raises ``ExponentOverflow``.  The
 public view is tuples of ``(variable_id, exponent)`` pairs sorted by id:
 ``Poly(terms)`` takes them, summing keys that name one monomial, and
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import ExponentOverflow, ForeignVariable
-from .errors import MalformedSyntax, MismatchedRegistry
+from .errors import MalformedSyntax
 from .kernel import EXP_BITS, EXP_MASK, EXP_MAX
 
 Rational = Fraction
@@ -70,7 +72,7 @@ class VariableRegistry:
         return name in self._ids
 
 
-#: Default registry shared by every module in the package.
+#: The one variable namespace of the package.
 REGISTRY = VariableRegistry()
 
 #: Distinguished variable carrying the one-variable recurrence family and
@@ -87,18 +89,18 @@ def _coeff(c) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c)!r}")
 
 
-def _pack(mono, registry) -> int:
+def _pack(mono) -> int:
     """Packed monomial of (variable id, exponent) pairs in any order; the
     exponents of a repeated variable add up."""
     m = 0
     for vid, e in mono:
-        if not 0 <= vid < len(registry):
+        if not 0 <= vid < len(REGISTRY):
             raise ForeignVariable(f"unknown variable id {vid!r}")
         if e < 0:
-            raise ValueError(f"negative exponent of {registry.name(vid)!r}")
+            raise ValueError(f"negative exponent of {REGISTRY.name(vid)!r}")
         m += e << (vid * EXP_BITS)
-        if e > EXP_MAX or m & registry.guard:
-            name = registry.name(vid)
+        if e > EXP_MAX or m & REGISTRY.guard:
+            name = REGISTRY.name(vid)
             raise ExponentOverflow(f"exponent of {name!r} exceeds {EXP_MAX}")
     return m
 
@@ -119,21 +121,22 @@ def _unpack(m) -> tuple:
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_t", "registry")
+    __slots__ = ("_t",)
 
-    def __init__(self, terms=(), registry: VariableRegistry = None):
-        self.registry = registry if registry is not None else REGISTRY
+    #: The namespace of every polynomial's variable ids.
+    registry = REGISTRY
+
+    def __init__(self, terms=()):
         t = {}
         for mono, c in dict(terms).items():
-            m = _pack(mono, self.registry)
+            m = _pack(mono)
             t[m] = t.get(m, 0) + _coeff(c)
         self._t = {m: _coeff(c) for m, c in t.items() if c}
 
     @classmethod
-    def _raw(cls, terms: dict, registry) -> "Poly":
+    def _raw(cls, terms: dict) -> "Poly":
         p = cls.__new__(cls)
         p._t = terms
-        p.registry = registry
         return p
 
     def _strict(self) -> "Poly":
@@ -141,30 +144,25 @@ class Poly:
         stored as an ``int``."""
         for c in self._t.values():
             if type(c) is not int and c.denominator == 1:
-                return Poly._raw(
-                    {m: _coeff(c) for m, c in self._t.items()}, self.registry
-                )
+                return Poly._raw({m: _coeff(c) for m, c in self._t.items()})
         return self
 
     @classmethod
-    def zero(cls, registry=None) -> "Poly":
-        return cls._raw({}, registry if registry is not None else REGISTRY)
+    def zero(cls) -> "Poly":
+        return cls._raw({})
 
     @classmethod
-    def const(cls, c, registry=None) -> "Poly":
+    def const(cls, c) -> "Poly":
         c = _coeff(c)
-        reg = registry if registry is not None else REGISTRY
-        return cls._raw({0: c} if c else {}, reg)
+        return cls._raw({0: c} if c else {})
 
     @classmethod
-    def one(cls, registry=None) -> "Poly":
-        return cls.const(1, registry)
+    def one(cls) -> "Poly":
+        return cls.const(1)
 
     @classmethod
-    def variable(cls, name: str, registry=None) -> "Poly":
-        reg = registry if registry is not None else REGISTRY
-        vid = reg.var(name)
-        return cls._raw({1 << (vid * EXP_BITS): 1}, reg)
+    def variable(cls, name: str) -> "Poly":
+        return cls._raw({1 << (REGISTRY.var(name) * EXP_BITS): 1})
 
     # -- inspection ----------------------------------------------------
 
@@ -190,7 +188,7 @@ class Poly:
 
     def _shift(self, v) -> int:
         """Bit offset of the field of ``v``, a name or id."""
-        return (self.registry.lookup(v) if isinstance(v, str) else v) * EXP_BITS
+        return (REGISTRY.lookup(v) if isinstance(v, str) else v) * EXP_BITS
 
     def degree_in(self, v):
         """Largest exponent of ``v`` (a name or id); -inf for the zero poly."""
@@ -204,13 +202,9 @@ class Poly:
         s = self._shift(v)
         field, want = EXP_MASK << s, k << s
         out = {m - want: c for m, c in self._t.items() if m & field == want}
-        return Poly._raw(out, self.registry)
+        return Poly._raw(out)
 
     # -- arithmetic ----------------------------------------------------
-
-    def _check(self, other: "Poly"):
-        if self.registry is not other.registry:
-            raise MismatchedRegistry("operands from different registries")
 
     # Each operator tests for a Poly first: isinstance against Fraction
     # goes through ABCMeta.__instancecheck__ and is far slower.
@@ -218,20 +212,19 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Poly.const(other, self.registry)
-        self._check(other)
-        return Poly._raw(kernel.poly_add(self._t, other._t), self.registry)
+            other = Poly.const(other)
+        return Poly._raw(kernel.poly_add(self._t, other._t))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw({m: -c for m, c in self._t.items()}, self.registry)
+        return Poly._raw({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Poly.const(other, self.registry)
+            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -239,20 +232,17 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            self._check(other)
-            t = kernel.poly_mul(self._t, other._t, self.registry.guard)
-            return Poly._raw(t, self.registry)
+            return Poly._raw(kernel.poly_mul(self._t, other._t, REGISTRY.guard))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        c = _coeff(other)
-        return Poly._raw(kernel.poly_scale(self._t, c), self.registry)
+        return Poly._raw(kernel.poly_scale(self._t, _coeff(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined for Poly")
-        result = Poly.one(self.registry)
+        result = Poly.one()
         base = self
         while k:
             if k & 1:
@@ -265,8 +255,8 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Poly.const(other, self.registry)
-        return self.registry is other.registry and self._t == other._t
+            other = Poly.const(other)
+        return self._t == other._t
 
     def __hash__(self):
         return hash(frozenset(self._t.items()))
@@ -285,11 +275,10 @@ class Poly:
         for key, val in assignment.items():
             s = self._shift(key)
             if not isinstance(val, Poly):
-                val = Poly.const(val, self.registry)
-            self._check(val)
+                val = Poly.const(val)
             amap[s] = val
             assigned |= EXP_MASK << s
-        guard = self.registry.guard
+        guard = REGISTRY.guard
         powers = {}  # (field offset, exponent) -> terms of that power
         out = {}
         for m, c in self._t.items():
@@ -302,7 +291,7 @@ class Poly:
                         pe = powers[(s, e)] = (p ** e)._t
                     term = kernel.poly_mul(term, pe, guard)
             out = kernel.poly_add(out, term)
-        return Poly._raw(out, self.registry)
+        return Poly._raw(out)
 
     # -- rendering -----------------------------------------------------
 
@@ -319,12 +308,11 @@ class Poly:
         """Human-readable form like ``3/2*x^2*y - 1``."""
         if not self._t:
             return "0"
-        reg = self.registry
         chunks = []
         for m, c in self._sorted_terms():
             factors = []
             for vid, e in m:
-                name = reg.name(vid)
+                name = REGISTRY.name(vid)
                 factors.append(name if e == 1 else f"{name}^{e}")
             mag = abs(c)
             if not factors:
@@ -359,10 +347,9 @@ class MonomialOrder:
     makes the packing wider when a degree outgrows it.
     """
 
-    __slots__ = ("blocks", "registry", "packing")
+    __slots__ = ("blocks", "packing")
 
-    def __init__(self, blocks, registry=None):
-        self.registry = registry if registry is not None else REGISTRY
+    def __init__(self, blocks):
         cleaned = tuple(tuple(b) for b in blocks if b)
         if not cleaned:
             raise ValueError("monomial order needs at least one variable")
@@ -380,7 +367,7 @@ class MonomialOrder:
         that lies outside the order."""
         extra = m & self.packing.outside
         vid = ((extra & -extra).bit_length() - 1) // EXP_BITS
-        name = self.registry.name(vid)
+        name = REGISTRY.name(vid)
         return ForeignVariable(f"variable {name!r} is not part of this monomial order")
 
     def check(self, p: Poly):
@@ -429,10 +416,9 @@ class MonomialOrder:
         return p * Fraction(1, c)  # __mul__ stores an integral 1/c as an int
 
     def descriptor(self) -> dict:
-        reg = self.registry
         return {
             "type": "block_degrevlex",
-            "blocks": [[reg.name(v) for v in b] for b in self.blocks],
+            "blocks": [[REGISTRY.name(v) for v in b] for b in self.blocks],
         }
 
     def __eq__(self, other):
@@ -442,12 +428,12 @@ class MonomialOrder:
         return hash(self.blocks)
 
 
-def degrevlex(vids, registry=None) -> MonomialOrder:
-    return MonomialOrder((tuple(vids),), registry)
+def degrevlex(vids) -> MonomialOrder:
+    return MonomialOrder((tuple(vids),))
 
 
-def block_order(*blocks, registry=None) -> MonomialOrder:
-    return MonomialOrder(blocks, registry)
+def block_order(*blocks) -> MonomialOrder:
+    return MonomialOrder(blocks)
 
 
 # -- parsing -----------------------------------------------------------
@@ -455,9 +441,8 @@ def block_order(*blocks, registry=None) -> MonomialOrder:
 _NUM = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
-def parse_poly(text: str, registry=None) -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse the rendering format back into a Poly (test fixtures, CLI)."""
-    reg = registry if registry is not None else REGISTRY
     pos = 0
     n = len(text)
 
@@ -472,12 +457,12 @@ def parse_poly(text: str, registry=None) -> Poly:
         m = _NUM.match(text, pos)
         if m:
             pos = m.end()
-            return Poly.const(Fraction(m.group()), reg)
+            return Poly.const(Fraction(m.group()))
         m = _IDENT.match(text, pos)
         if not m:
             raise MalformedSyntax("expected a number or variable", pos)
         pos = m.end()
-        p = Poly.variable(m.group(), reg)
+        p = Poly.variable(m.group())
         skip_ws()
         if pos < n and text[pos] == "^":
             pos += 1
@@ -555,14 +540,13 @@ def _cheb_coeffs(n: int):
     return cur
 
 
-def chebyshev_like(n: int, registry=None) -> Poly:
+def chebyshev_like(n: int) -> Poly:
     """Member n of the family with P(0)=0, P(1)=1, 2x*P(n)=P(n-1)+P(n+1).
 
     Defined for every integer n; univariate in the distinguished variable.
     """
-    reg = registry if registry is not None else REGISTRY
-    s = reg.var(CHEB_VAR) * EXP_BITS
+    s = REGISTRY.var(CHEB_VAR) * EXP_BITS
     coeffs = _cheb_coeffs(n)
     if len(coeffs) > EXP_MAX + 1:
         raise ExponentOverflow(f"degree {len(coeffs) - 1} exceeds {EXP_MAX}")
-    return Poly._raw({i << s: c for i, c in enumerate(coeffs) if c}, reg)
+    return Poly._raw({i << s: c for i, c in enumerate(coeffs) if c})

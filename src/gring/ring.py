@@ -40,19 +40,14 @@ class QuotientRing:
     are equal iff their representatives are equal as polynomials.
     """
 
-    def __init__(
-        self, vids, relations, order=None, registry=None, label="", deadline=None
-    ):
-        self.registry = registry if registry is not None else REGISTRY
+    def __init__(self, vids, relations, order=None, label="", deadline=None):
         self.vids = tuple(vids)
-        self.order = order if order is not None else degrevlex(
-            self.vids, self.registry
-        )
+        self.order = order if order is not None else degrevlex(self.vids)
         self.label = label
         self.gb = buchberger(list(relations), self.order, deadline=deadline)
 
     def var_names(self):
-        return [self.registry.name(v) for v in self.vids]
+        return [REGISTRY.name(v) for v in self.vids]
 
     def nf(self, p: Poly) -> Poly:
         """Normal form of p; ForeignVariable if p has a variable outside
@@ -146,7 +141,7 @@ def invert(elem: Poly, ambient: QuotientRing, deadline=None) -> Poly:
     if gb.cofactor is None:
         raise NotAUnit(f"{elem.render()} is not a unit in {ambient.label or 'ring'}")
     inv = ambient.nf(gb.cofactor)
-    residue = ambient.nf(elem * inv - Poly.one(ambient.registry))
+    residue = ambient.nf(elem * inv - Poly.one())
     if not residue.is_zero():
         raise AssertionError("cofactor certificate failed to verify")
     return inv
@@ -155,11 +150,9 @@ def invert(elem: Poly, ambient: QuotientRing, deadline=None) -> Poly:
 class KFRing(QuotientRing):
     """Coordinate ring of the free group of rank n in canonical symbols."""
 
-    def __init__(self, n: int, registry=None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("generator count must be at least 1")
-        reg = registry if registry is not None else REGISTRY
-        self.registry = reg  # needed by the symbol helpers below
         self.n = n
         self.symbol_of = {}  # vid -> (kind, index tuple)
         self._var = {}  # vid -> the symbol's Poly, made once
@@ -169,9 +162,9 @@ class KFRing(QuotientRing):
             out = {}
             for idx in combinations(range(1, n + 1), arity):
                 name = kind + "".join(map(str, idx))
-                vid = reg.var(name)
+                vid = REGISTRY.var(name)
                 self.symbol_of[vid] = (kind, idx)
-                self._var[vid] = Poly.variable(name, reg)
+                self._var[vid] = Poly.variable(name)
                 out[idx[0] if arity == 1 else idx] = vid
             return out
 
@@ -184,14 +177,14 @@ class KFRing(QuotientRing):
         for i, j in product(idx, repeat=2):
             if i == j:
                 li = self._var[self._lam[i]]
-                self._m_of[(i, j)] = Poly.one(reg) - li * li
+                self._m_of[(i, j)] = Poly.one() - li * li
             else:
                 self._m_of[(i, j)] = self._var[self._m[tuple(sorted((i, j)))]]
         self._w_signed_of = {}
         self._w_of = {}
         for t in product(idx, repeat=3):
             sign = _perm_sign(t)
-            p = self._var[self._w[tuple(sorted(t))]] if sign else Poly.zero(reg)
+            p = self._var[self._w[tuple(sorted(t))]] if sign else Poly.zero()
             self._w_signed_of[t] = sign, p
             self._w_of[t] = p if sign >= 0 else -p
         lam_vids = list(self._lam.values())
@@ -199,15 +192,13 @@ class KFRing(QuotientRing):
         w_vids = list(self._w.values())
         base = tuple(lam_vids + m_vids)
         if w_vids:
-            order = block_order(tuple(w_vids), base, registry=reg)
+            order = block_order(tuple(w_vids), base)
         else:
-            order = degrevlex(base, reg)
-        relations = self._relation_instances(reg)
+            order = degrevlex(base)
         super().__init__(
             tuple(lam_vids + m_vids + w_vids),
-            relations,
+            self._relation_instances(),
             order=order,
-            registry=reg,
             label=f"K[F{n}]",
         )
 
@@ -285,7 +276,7 @@ class KFRing(QuotientRing):
         )
         return self.w(i, j, k) * self.w(l, s, t) - det
 
-    def _relation_instances(self, reg):
+    def _relation_instances(self):
         rels = []
         idx = range(1, self.n + 1)
         for quad in combinations(idx, 4):
@@ -318,7 +309,6 @@ def cached_ring(make, *args):
     return ring
 
 
-def build_KF(n: int, registry=None) -> KFRing:
-    """The rank-n coordinate ring; cached per registry object."""
-    reg = registry if registry is not None else REGISTRY
-    return cached_ring(KFRing, n, reg)
+def build_KF(n: int) -> KFRing:
+    """The rank-n coordinate ring; cached per ``n``."""
+    return cached_ring(KFRing, n)

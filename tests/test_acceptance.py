@@ -28,7 +28,7 @@ from gring.ideals import (
 )
 from gring.identities import run_identity_suite
 from gring.oracle import fuzz_bar
-from gring.poly import Poly, chebyshev_like
+from gring.poly import REGISTRY, Poly, chebyshev_like
 from gring.ring import build_KF, ideal_equal
 from gring.words import Word, parse_presentation, parse_word
 
@@ -93,7 +93,7 @@ def test_criterion_3_two_cyclic_factor_rings(s, t):
 
     def via_family(b, h, n):
         # scalar part of b * h^n through the recurrence family
-        xv = ring.registry.var("x")
+        xv = REGISTRY.var("x")
         barh = bar(embed_word(ring, h))
         pn = chebyshev_like(n).substitute({xv: barh})
         pn1 = chebyshev_like(n - 1).substitute({xv: barh})

@@ -39,7 +39,7 @@ def W3(text):
 
 
 def V(name):
-    return Poly.variable(name, REGISTRY)
+    return Poly.variable(name)
 
 
 # -- word normalization ---------------------------------------------------
@@ -99,13 +99,13 @@ def test_boyer_certificate_smallest_instance():
     cert = boyer_certificate(BoyerInstance(2, 3, 2, W2("g1*g2")))
     assert cert.certified
     assert cert.degree == 1 == cert.raw_degree
-    lead = parse_poly(cert.leading_coefficient, REGISTRY)
+    lead = parse_poly(cert.leading_coefficient)
     assert lead == Poly.const(-2) * V("s1") * V("s2")
     # mu1 vanishes for s = 2, so the image is already its own remainder
-    rem = parse_poly(cert.remainder, REGISTRY)
+    rem = parse_poly(cert.remainder)
     assert rem == -(V("s1") * V("s2") * V("x"))
     E = build_E(2, 3)
-    cof = parse_poly(cert.unit_certificate, REGISTRY)
+    cof = parse_poly(cert.unit_certificate)
     assert E.nf(lead * cof - 1).is_zero()
 
 
@@ -388,8 +388,7 @@ def test_probe_trivial_ideal_is_proper():
     A4 = QuotientRing(
         vids,
         [(1 - x * x) * (1 - y * y) - (u * u + v * v)],
-        order=degrevlex(vids, REGISTRY),
-        registry=REGISTRY,
+        order=degrevlex(vids),
     )
     assert not A4.ideal_gb([x * y]).is_unit_ideal()
     # first matrix entry: <u, xy> is proper too

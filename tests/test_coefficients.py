@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from gring.casestudies import build_E
-from gring.poly import Poly, chebyshev_like, degrevlex, parse_poly
+from gring.poly import REGISTRY, Poly, chebyshev_like, degrevlex, parse_poly
 from gring.ring import build_KF, invert
 
 KF3 = build_KF(3)
@@ -47,7 +47,7 @@ def test_parsed_and_built_polys():
     p = parse_poly("3*x - 1/2")
     _strict(p)
     assert dict(p.terms()) == {
-        ((p.registry.lookup("x"), 1),): 3,
+        ((REGISTRY.lookup("x"), 1),): 3,
         (): Fraction(-1, 2),
     }
     _strict(Poly({(): Fraction(8, 4), ((0, 1),): 5}))
@@ -86,10 +86,9 @@ def test_nf_stores_integral_coefficients_as_int(label):
         "KF3": lambda: KF3,
         "E(3,4)": lambda: build_E(3, 4),
     }[label]()
-    reg = R.registry
-    one = Poly.const(Fraction(1, 2), reg) * 2  # holds Fraction(1, 1)
+    one = Poly.const(Fraction(1, 2)) * 2  # holds Fraction(1, 1)
     assert type(one.constant_term()) is Fraction
-    v = Poly.variable(reg.name(R.vids[-1]), reg)
+    v = Poly.variable(REGISTRY.name(R.vids[-1]))
     inputs = [one * v, one * v * v + Fraction(3, 2) * v - one]  # normal
     for b in R.gb.polys[:2]:  # reducible
         inputs.append(one * b * v + one * v)
@@ -101,10 +100,10 @@ def test_nf_stores_integral_coefficients_as_int(label):
 
 def test_monic_is_exact_not_float():
     x = Poly.variable("x")
-    order = degrevlex([x.registry.lookup("x")])
+    order = degrevlex([REGISTRY.lookup("x")])
     p = order.monic(2 * x + 1)
     _exact(p)  # the lead may be Fraction(1): Fraction(1, 2) * 2
-    assert dict(p.terms()) == {((x.registry.lookup("x"), 1),): 1, (): Fraction(1, 2)}
+    assert dict(p.terms()) == {((REGISTRY.lookup("x"), 1),): 1, (): Fraction(1, 2)}
     assert type(p.constant_term()) is Fraction
     q = order.monic(Fraction(2, 3) * x - 4)
     _exact(q)
@@ -133,16 +132,15 @@ terms = st.lists(st.tuples(monos, coeffs), max_size=3)
 def _pair(term_list):
     """The same polynomial twice: as the constructors store it, and with
     every coefficient forced to a ``Fraction``."""
-    reg = KF3.registry
-    p = Poly.zero(reg)
+    p = Poly.zero()
     for mono, c in term_list:
-        t = Poly.const(c, reg)
+        t = Poly.const(c)
         for name, e in mono.items():
-            t = t * Poly.variable(name, reg) ** e
+            t = t * Poly.variable(name) ** e
         p = p + t
     # the stored dict: the constructors would turn an integral Fraction
     # back into an int
-    forced = Poly._raw({m: Fraction(c) for m, c in p._t.items()}, reg)
+    forced = Poly._raw({m: Fraction(c) for m, c in p._t.items()})
     return p, forced
 
 

@@ -268,7 +268,6 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
     """The engine before the support-bitmask prefilter (frozen copy);
     ``finish_started`` is called where the interreduction begins."""
     slots, width = order_slots(order)
-    registry = order.registry
 
     def lead_key(p):
         return max(mono_key(m, slots, width) for m, _ in p.terms())
@@ -381,9 +380,7 @@ def reference_buchberger(gens, order, finish_started=lambda: None):
             if r != final[i][1]:
                 changed = True
                 final[i] = (final[i][0], r)
-    polys = [
-        Poly(nd_to_frac(d), registry) for _, d in final
-    ]
+    polys = [Poly(nd_to_frac(d)) for _, d in final]
     polys.sort(key=lead_key)
     return GroebnerBasis(polys, order)
 

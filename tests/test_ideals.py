@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -15,7 +16,7 @@ from gring.ideals import (
     quotient_ring_of_presentation,
 )
 from gring.ring import build_KF, ideal_equal
-from gring.words import Word, parse_presentation, parse_word
+from gring.words import Word, parse_presentation, parse_word, random_word
 
 NAMES = ["g1", "g2", "g3"]
 
@@ -153,6 +154,48 @@ def test_normally_generates_partial_generators():
     gb = ring.ideal_gb(spec.generators)
     lam2 = ring.lam(2)
     assert not gb.contains(1 - lam2 * lam2)
+
+
+# relators of rank 1, 2 and 3, with torsion, commutators and a triangle group
+CONTAINMENT_PRESENTATIONS = [
+    "<g1|g1^4>",
+    "<g1,g2|g1^2,g2^3>",
+    "<g1,g2|g1^3,g2^4>",
+    "<g1,g2|g1*g2*g1^-1*g2^-1>",
+    "<g1,g2|g1^2,g2^5,g1*g2*g1*g2>",
+    "<g1,g2,g3|g1^2,g2^3,g3^5,g1*g2*g3>",
+    "<g1,g2,g3|g1^2,g2^2,g3^2>",
+]
+
+
+@pytest.mark.parametrize("kind", ["hash", "hashhash"])
+@pytest.mark.parametrize("idx", range(len(CONTAINMENT_PRESENTATIONS)))
+def test_relators_and_words_lie_in_the_generator_ideal(idx, kind):
+    # normally_generates_check compares lhs = ideal(relators + L) with
+    # rhs = ideal(all generators); lhs always lies in rhs.  GB(rhs) is
+    # <lam_i - 1, m_ij, w_ijk> for hash and <m(i,j) for i <= j, w_ijk>
+    # for hashhash (m(i,i) = 1 - lam_i^2), and every lhs generator
+    # vanishes there
+    pres = parse_presentation(CONTAINMENT_PRESENTATIONS[idx])
+    n = pres.generator_count
+    ring = build_KF(n)
+    make = hash_generators if kind == "hash" else hashhash_generators
+    rhs = make([Word.generator(i) for i in range(1, n + 1)], n).gb()
+    idx1 = range(1, n + 1)
+    if kind == "hash":
+        want = [ring.lam(i) - 1 for i in idx1]
+        want += [ring.m(i, j) for i, j in combinations(idx1, 2)]
+    else:
+        want = [ring.m(i, j) for i, j in combinations_with_replacement(idx1, 2)]
+    want += [ring.w(*t) for t in combinations(idx1, 3)]
+    assert rhs.polys == ring.ideal_gb(want).polys
+    rng = random.Random(2026 + idx)
+    for _ in range(3):
+        word = random_word(rng, n, 6)
+        lhs = make(list(pres.relators) + [word], n)
+        assert lhs.generators
+        for g in lhs.generators:
+            assert rhs.normal_form(g).is_zero(), g.render()
 
 
 def test_hash_via_alternative_generating_family():

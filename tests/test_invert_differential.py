@@ -23,7 +23,7 @@ import pytest
 from gring import casestudies, kernel, ring
 from gring.casestudies import BoyerInstance, build_E, sw_build
 from gring.errors import NotAUnit
-from gring.poly import REGISTRY, Poly
+from gring.poly import Poly
 from gring.words import Word
 
 from test_engine_differential import (
@@ -97,22 +97,19 @@ def _cof_reduce(p, rep, basis, order):
     return out, rep
 
 
-def _cof_finish(basis, registry):
+def _cof_finish(basis):
     polys = []
     reps = []
     for lm, lc, d, rep in basis:
         inv = Fraction(1) / Fraction(lc)
-        polys.append(Poly({m: c * inv for m, c in d.items()}, registry))
-        reps.append(
-            [Poly({m: c * inv for m, c in r.items()}, registry) for r in rep]
-        )
+        polys.append(Poly({m: c * inv for m, c in d.items()}))
+        reps.append([Poly({m: c * inv for m, c in r.items()}) for r in rep])
     return polys, reps
 
 
 def reference_groebner_with_cofactors(gens, order):
     """The cofactor engine before it was folded into buchberger."""
     slots, width = order_slots(order)
-    registry = order.registry
     n = len(gens)
     basis = []  # (lead, lead_coeff, dict, rep)
     pairs = []
@@ -142,7 +139,7 @@ def reference_groebner_with_cofactors(gens, order):
         if r:
             add(r, rrep)
             if len(r) == 1 and () in r:
-                return _cof_finish(basis, registry)
+                return _cof_finish(basis)
 
     while pairs:
         _, _, i, j = heappop(pairs)
@@ -171,9 +168,9 @@ def reference_groebner_with_cofactors(gens, order):
         if r:
             add(r, rrep)
             if len(r) == 1 and () in r:
-                return _cof_finish(basis, registry)
+                return _cof_finish(basis)
 
-    return _cof_finish(basis, registry)
+    return _cof_finish(basis)
 
 
 def reference_invert(elem, ambient):
@@ -183,7 +180,7 @@ def reference_invert(elem, ambient):
     for b, rep in zip(basis, reps):
         if b.is_constant() and not b.is_zero():
             inv = ambient.nf(rep[-1] * (Fraction(1) / b.constant_term()))
-            residue = ambient.nf(elem * inv - Poly.one(ambient.registry))
+            residue = ambient.nf(elem * inv - Poly.one())
             assert residue.is_zero()
             return inv
     raise NotAUnit(elem.render())
@@ -257,7 +254,7 @@ def test_sine_inverses():
     for r, s, t in PROPERNESS_ORDERS:
         eprime = sw_build(r, s, t).eprime
         for i in (1, 2, 3):
-            cases.append((Poly.variable(f"s{i}", REGISTRY), eprime))
+            cases.append((Poly.variable(f"s{i}"), eprime))
     _assert_same_as_reference(cases)
 
 
@@ -266,11 +263,11 @@ def _sparse_element(rng, E):
     degree at most 4, coefficients in -3..3.  With five terms of degree at
     most 5, single E(3,7) elements kept the reference busy for over 10 s."""
     names = ("mu1", "mu2", "s1", "s2")
-    p = Poly.zero(REGISTRY)
+    p = Poly.zero()
     for _ in range(rng.randint(1, 4)):
-        term = Poly.const(rng.choice((-3, -2, -1, 1, 2, 3)), REGISTRY)
+        term = Poly.const(rng.choice((-3, -2, -1, 1, 2, 3)))
         for _ in range(rng.randint(0, 4)):
-            term = term * Poly.variable(rng.choice(names), REGISTRY)
+            term = term * Poly.variable(rng.choice(names))
         p = p + term
     return E.nf(p)
 

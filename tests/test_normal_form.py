@@ -20,7 +20,7 @@ from hypothesis import given, seed, settings, strategies as st
 from gring import kernel
 from gring.casestudies import build_E, sw_build
 from gring.errors import ForeignVariable
-from gring.poly import Poly
+from gring.poly import REGISTRY, Poly
 from gring.ring import build_KF
 
 from test_engine_differential import (
@@ -96,12 +96,11 @@ def inputs(draw):
         terms.pop(m, None)
         items = list(terms.items())
         items.insert(draw(st.integers(0, len(items))), (m, draw(coeffs)))
-    p = Poly(items, R.registry)
+    p = Poly(items)
     # integral Fraction coefficients, which the constructors never store
     forced = draw(st.lists(st.booleans(), min_size=len(p._t), max_size=len(p._t)))
     p = Poly._raw(
-        {m: Fraction(c) if f else c for (m, c), f in zip(p._t.items(), forced)},
-        R.registry,
+        {m: Fraction(c) if f else c for (m, c), f in zip(p._t.items(), forced)}
     )
     return label, p, reducible
 
@@ -127,11 +126,10 @@ FOREIGN_B = Poly.variable("nf_foreign_b")
 @pytest.mark.parametrize("label", sorted(RINGS))
 def test_foreign_variable_of_the_first_foreign_term(label, where):
     R = RINGS[label]
-    reg = R.registry
-    assert reg.lookup("nf_foreign_a") < reg.lookup("nf_foreign_b")
-    v = Poly.variable(reg.name(R.vids[0]), reg)
+    assert REGISTRY.lookup("nf_foreign_a") < REGISTRY.lookup("nf_foreign_b")
+    v = Poly.variable(REGISTRY.name(R.vids[0]))
     lead, _ = R.order.leading(R.gb.polys[-1])
-    (red,) = Poly({lead: 1}, reg)._t.items()
+    (red,) = Poly({lead: 1})._t.items()
     # b comes first in dict order, a has the lower id: the packing path
     # names b, a check of all terms together would name a
     items = [*(v * FOREIGN_B)._t.items(), *FOREIGN_A._t.items()]
@@ -139,7 +137,7 @@ def test_foreign_variable_of_the_first_foreign_term(label, where):
         items.insert(0, red)
     elif where == "after":
         items.append(red)
-    p = Poly._raw(dict(items), reg)
+    p = Poly._raw(dict(items))
     for nf in (R.nf, R.gb.normal_form):
         with pytest.raises(ForeignVariable, match="'nf_foreign_b'"):
             nf(p)

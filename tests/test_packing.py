@@ -22,7 +22,7 @@ from gring.casestudies import make_E
 from gring.errors import ExponentOverflow
 from gring.groebner import buchberger
 from gring.ideals import hashhash_generators
-from gring.poly import Poly, VariableRegistry, block_order, degrevlex, parse_poly
+from gring.poly import REGISTRY, Poly, block_order, degrevlex, parse_poly
 from gring.words import Word
 
 from test_engine_differential import (
@@ -39,8 +39,7 @@ from test_engine_differential import (
 )
 from test_invert_differential import reference_invert
 
-_LOCAL = VariableRegistry()
-SINGLE = degrevlex([_LOCAL.var(f"a{i}") for i in range(5)], _LOCAL)
+SINGLE = degrevlex([REGISTRY.var(f"a{i}") for i in range(5)])
 
 
 def _kf3_order():
@@ -51,15 +50,13 @@ ORDERS = {"single": lambda: SINGLE, "kf3": _kf3_order}
 
 
 def _pack(order, mono):
-    (x,) = order.pack_nd(Poly({mono: 1}, order.registry)._t)[0]
+    (x,) = order.pack_nd(Poly({mono: 1})._t)[0]
     return x
 
 
 def _unpack(order, x):
     """Tuple monomial of the packed ``x``, through ``Packing.to_frac``."""
-    ((mono, _),) = Poly._raw(
-        order.packing.to_frac({x: (1, 1)}), order.registry
-    ).terms()
+    ((mono, _),) = Poly._raw(order.packing.to_frac({x: (1, 1)})).terms()
     return mono
 
 
@@ -133,7 +130,7 @@ def test_leading_is_largest_tuple_key(name, data):
     coeffs = data.draw(
         st.lists(st.integers(1, 9), min_size=len(monos), max_size=len(monos))
     )
-    p = Poly(dict(zip(monos, coeffs)), order.registry)
+    p = Poly(dict(zip(monos, coeffs)))
     want = max(monos, key=lambda m: mono_key(m, slots, width))
     assert order.leading(p) == (want, dict(p.terms())[want])
 
@@ -143,7 +140,7 @@ def test_leading_widens_the_packing():
     bits = kf.order.packing.bits
     lam1 = kf.lam(1)
     lead, c = kf.order.leading(lam1**200 + kf.lam(2) * kf.lam(3))
-    assert Poly({lead: c}, kf.registry) == lam1**200
+    assert Poly({lead: c}) == lam1**200
     assert kf.order.packing.bits > bits
 
 
@@ -152,19 +149,14 @@ def test_pack_rejects_too_big_degree():
     half = 1 << (pk.bits - 1)
     v = SINGLE.blocks[0][0]
     with pytest.raises(kernel.FieldOverflow):
-        SINGLE.pack_nd(Poly({((v, half),): 1}, _LOCAL)._t)
-
-
-def _fresh_xy():
-    reg = VariableRegistry()
-    x, y = Poly.variable("x", reg), Poly.variable("y", reg)
-    return reg, x, y
+        SINGLE.pack_nd(Poly({((v, half),): 1})._t)
 
 
 def test_exponents_past_initial_width():
-    reg, x, y = _fresh_xy()
+    x, y = Poly.variable("x"), Poly.variable("y")
     half = 1 << (poly._FIELD_BITS - 1)
-    order = degrevlex([reg.lookup("x"), reg.lookup("y")], reg)
+    # a fresh order, at the initial width
+    order = degrevlex([REGISTRY.lookup("x"), REGISTRY.lookup("y")])
     # the inputs fit the fields; their lcm and S-polynomial do not
     gens = [x ** (half - 28) * y - 1, x * y ** (half - 28) - 1]
     polys = buchberger(gens, order).polys
@@ -225,9 +217,8 @@ def test_narrowest_width_gives_reference_bases(monkeypatch):
 
 
 def test_result_past_the_exponent_limit_raises():
-    reg = VariableRegistry()
-    a, b = Poly.variable("a", reg), Poly.variable("b", reg)
-    order = block_order((reg.lookup("b"),), (reg.lookup("a"),), registry=reg)
+    a, b = Poly.variable("a"), Poly.variable("b")
+    order = block_order((REGISTRY.lookup("b"),), (REGISTRY.lookup("a"),))
     gb = buchberger([b - a**200], order)
     assert gb.normal_form(b**100) == a**20000
     # b^200 reduces to a^40000: the engine widens its fields to hold it,
