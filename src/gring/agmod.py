@@ -13,11 +13,18 @@ v_k^2 = -m(k,k) = lam_k^2 - 1, a syllable has the closed form
 (lam_k +- v_k)^e = T_e(lam_k) +- U_{e-1}(lam_k) v_k for e >= 1, with
 a_1 = lam_k, b_1 = 1 and a <- a*lam_k - b*m(k,k), b <- a + b*lam_k;
 ``embed_word`` multiplies by it one syllable at a time.
+
+Callers that need only part of a product do not form the rest:
+``bar_product`` takes bar(x*y) from the scalar rows of the table,
+``embed_bar`` the scalar part of an embedded word through it, and
+``basis_pairings`` the pairings of the basis {v_i, b_ij} with an element,
+straight from its coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import GringError
 from .poly import REGISTRY, Poly, chebyshev_like
@@ -260,8 +267,17 @@ class AElem:
         return self.scalar
 
     def vector_part(self) -> "AElem":
-        """The element with the scalar part removed."""
-        return AElem(self.ring, None, self.vec, self.brk)
+        """The element with the scalar part removed.
+
+        The coordinates are already canonical, so they are copied, not
+        canonicalized again.
+        """
+        out = AElem.__new__(AElem)
+        out.ring = self.ring
+        out.scalar = Poly.zero()
+        out.vec = dict(self.vec)
+        out.brk = dict(self.brk)
+        return out
 
     def render(self) -> str:
         parts = []
@@ -314,6 +330,61 @@ def dot(a: AElem, b: AElem) -> Poly:
             out = out + p * q * (
                 ring.m(i, k) * ring.m(j, l) - ring.m(i, l) * ring.m(j, k)
             )
+    return ring.nf(out)
+
+
+def basis_pairings(x: AElem) -> list:
+    """dot(beta, vec(x)) for beta = v_1, ..., v_n, then b_ij for i < j.
+
+    Read straight off the coordinates of x (its scalar part is ignored):
+    dot(v_i, x) = sum_j x_j m(i,j) + sum_(j,k) x_jk w(j,k,i) and
+    dot(b_ij, x) = sum_k x_k w(i,j,k) + sum_(k,l) x_kl (m(i,k)m(j,l) -
+    m(i,l)m(j,k)), in the order ``dot`` sums them.
+    """
+    ring = x.ring
+    m, w, nf = ring.m, ring.w, ring.nf
+    out = []
+    for i in range(1, ring.n + 1):
+        acc = Poly.zero()
+        for j, q in x.vec.items():
+            acc = acc + q * m(i, j)
+        for (j, k), q in x.brk.items():
+            acc = acc + q * w(j, k, i)
+        out.append(nf(acc))
+    for i, j in combinations(range(1, ring.n + 1), 2):
+        acc = Poly.zero()
+        for k, q in x.vec.items():
+            acc = acc + q * w(i, j, k)
+        for (k, l), q in x.brk.items():
+            acc = acc + q * (m(i, k) * m(j, l) - m(i, l) * m(j, k))
+        out.append(nf(acc))
+    return out
+
+
+def bar_product(x: AElem, y: AElem) -> Poly:
+    """bar(x * y) from the scalar rows of the product table alone.
+
+    Those rows are the ones of ``AElem.__mul__``: v_i*v_j gives -m(i,j),
+    b_ij*v_k and v_k*b_ij give -w(i,j,k), and b_ij*b_kl gives m(i,l)m(j,k)
+    - m(i,k)m(j,l); a scalar times a basis element has no scalar part.
+    The product's vector and bracket parts are never formed.
+    """
+    x._check(y)
+    ring = x.ring
+    m, w = ring.m, ring.w
+    out = x.scalar * y.scalar
+    for i, a in x.vec.items():
+        for j, b in y.vec.items():
+            out = out - a * b * m(i, j)
+    for (i, j), a in x.brk.items():
+        for k, b in y.vec.items():
+            out = out - a * b * w(i, j, k)
+    for k, a in x.vec.items():
+        for (i, j), b in y.brk.items():
+            out = out - a * b * w(i, j, k)
+    for (i, j), a in x.brk.items():
+        for (k, l), b in y.brk.items():
+            out = out + a * b * (m(i, l) * m(j, k) - m(i, k) * m(j, l))
     return ring.nf(out)
 
 
@@ -412,15 +483,26 @@ def embed_word(ring: KFRing, w: Word) -> AElem:
     return out
 
 
+def embed_bar(ring: KFRing, w: Word) -> Poly:
+    """bar(embed_word(ring, w)), with the last syllable taken through
+    ``bar_product``: its vector and bracket parts are never formed."""
+    if not w.syllables:
+        return Poly.one()
+    k, e = w.syllables[-1]
+    a, b = _syllable(ring, k, e)
+    head = embed_word(ring, Word(w.syllables[:-1]))
+    return bar_product(head, AElem(ring, a, {k: b}))
+
+
 def power_bar(ring: KFRing, g: Word, h: Word, k: Word, n: int) -> Poly:
     """Scalar part of g*h^n*k via the recurrence family, not by expansion.
 
     Equals ``bar(embed_word(g*h^n*k))`` identically; the closed form stays
     cheap for large n.
     """
-    barh = embed_word(ring, h).bar()
-    bar_ghk = embed_word(ring, g * h * k).bar()
-    bar_gk = embed_word(ring, g * k).bar()
+    barh = embed_bar(ring, h)
+    bar_ghk = embed_bar(ring, g * h * k)
+    bar_gk = embed_bar(ring, g * k)
     x = REGISTRY.var("x")
     pn = chebyshev_like(n).substitute({x: barh})
     pn1 = chebyshev_like(n - 1).substitute({x: barh})

@@ -28,13 +28,14 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .agmod import AElem, bracket, dot, embed_word
+from .agmod import AElem, bracket, dot, embed_bar, embed_word
 from .errors import (
     FormCheckFailed,
     GroebnerTimeout,
     InvalidInstance,
     NotAUnit,
 )
+from .groebner import GroebnerBasis
 from .poly import REGISTRY, Poly, block_order, chebyshev_like, degrevlex
 from .ring import QuotientRing, build_KF, cached_ring, invert, is_whole_ring
 from .words import Word
@@ -197,7 +198,7 @@ def boyer_certificate(inst: BoyerInstance, deadline=None) -> Certificate:
     E = build_E(inst.s, inst.t)
     w = inst.normalized_word()
     ring2 = build_KF(2)
-    p = boyer_theta(embed_word(ring2, w).bar(), E)
+    p = boyer_theta(embed_bar(ring2, w), E)
 
     mu1mu2 = Poly.variable("mu1") * Poly.variable("mu2")
     s1s2x = Poly.variable("s1") * Poly.variable("s2") * Poly.variable("x")
@@ -382,6 +383,7 @@ class SWRings:
     def __init__(self, r: int, s: int, t: int):
         self.r, self.s, self.t = r, s, t
         self._s_inv = {}
+        self._j_gb = None
         vids = _sw_vids()
         xv = REGISTRY.var("x")
         erels = [
@@ -412,6 +414,13 @@ class SWRings:
         if inv is None:
             inv = self._s_inv[i] = invert(Poly.variable(f"s{i}"), self.eprime)
         return inv
+
+    def j_basis(self) -> GroebnerBasis:
+        """Reduced basis of J (``J_gens``) plus the relations of A;
+        computed once per ring."""
+        if self._j_gb is None:
+            self._j_gb = self.A.ideal_gb(self.J_gens())
+        return self._j_gb
 
     def W(self) -> Poly:
         mu1, mu2, mu3 = (Poly.variable(f"mu{i}") for i in (1, 2, 3))
@@ -569,9 +578,8 @@ def sw_verify(
             resid.is_zero(),
             "" if resid.is_zero() else resid.render(),
         )
-    jgb = rings.A.ideal_gb(rings.J_gens())
     diff = rings.A.nf(w1 - rings.W())
-    resid = jgb.normal_form(diff)
+    resid = rings.j_basis().normal_form(diff)
     report.add(
         "w1-minus-W-in-J",
         resid.is_zero(),

@@ -6,6 +6,16 @@ anti-symmetric pairing (``hashhash``), and the naive augmentation-style
 ideal (``bullet``).  Comparing ``hashhash`` ideals of two word sets gives
 a sound (never complete) test that one set fails to normally generate the
 normal closure of the other.
+
+Each generator is computed once, from coordinates that are already
+canonical, and comes out as a normal form: a ``hashhash`` generator is a
+pairing read off the coordinates of the embedded word
+(``agmod.basis_pairings``), a ``hash`` generator takes bar(beta * l) from
+the scalar rows of the product table (``agmod.bar_product``), and a
+``bullet`` generator needs only the scalar part of the word
+(``agmod.embed_bar``).  No module-basis product is formed for them and no
+generator is reduced twice; ``_prune`` only scales to a monic generator
+with integer division and drops zeros and repeats.
 """
 
 from __future__ import annotations
@@ -13,7 +23,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .agmod import AElem, dot, embed_word
+from .agmod import (
+    AElem,
+    bar_product,
+    basis_pairings,
+    bracket,
+    embed_bar,
+    embed_word,
+)
 from .poly import Poly
 from .ring import KFRing, QuotientRing, build_KF
 from .words import Presentation, Word
@@ -49,10 +66,9 @@ class IdealSpec:
         }
 
 
-def _module_basis(ring: KFRing, include_one: bool):
-    basis = []
-    if include_one:
-        basis.append(AElem.one(ring))
+def _module_basis(ring: KFRing):
+    """The canonical module basis {1, v_i, b_ij}."""
+    basis = [AElem.one(ring)]
     for i in range(1, ring.n + 1):
         basis.append(AElem.basis_v(ring, i))
     for i in range(1, ring.n + 1):
@@ -62,14 +78,18 @@ def _module_basis(ring: KFRing, include_one: bool):
 
 
 def _prune(ring: KFRing, gens):
-    """Drop zero and duplicate generators, normalizing scale."""
+    """Drop zero and duplicate generators, normalizing scale.
+
+    Every generator is already a normal form (a pairing, a scalar part,
+    or a difference of them), so none is reduced again.
+    """
+    monic = ring.order.monic
     out = []
     seen = set()
     for p in gens:
-        q = ring.nf(p)
-        if q.is_zero():
+        if p.is_zero():
             continue
-        q = ring.order.monic(q)
+        q = monic(p)
         if q not in seen:
             seen.add(q)
             out.append(q)
@@ -81,26 +101,27 @@ def hash_generators(L, n: int, bases=None) -> IdealSpec:
 
     ``bases`` optionally supplies an alternative generating family per
     word (a list of AElem lists, parallel to L); by default the canonical
-    basis {1, v_i, b_ij} is used for every word.
+    basis {1, v_i, b_ij} is used for every word.  bar(beta * l) comes from
+    the scalar rows of the product table (``bar_product``), not from the
+    pairings behind ``hashhash_generators``.
     """
     ring = build_KF(n)
+    basis = _module_basis(ring)
     gens = []
     for idx, l in enumerate(L):
         le = embed_word(ring, l)
-        betas = bases[idx] if bases is not None else _module_basis(ring, True)
-        for beta in betas:
-            gens.append((beta * le).bar() - beta.bar())
+        for beta in bases[idx] if bases is not None else basis:
+            gens.append(bar_product(beta, le) - beta.bar())
     return IdealSpec(ring, _prune(ring, gens), "hash")
 
 
 def hashhash_generators(L, n: int) -> IdealSpec:
-    """Generators dot(beta, vec(l)) over the anti-symmetric module basis."""
+    """Generators dot(beta, vec(l)) over the anti-symmetric module basis
+    {v_i, b_ij}, read off the coordinates of l (``basis_pairings``)."""
     ring = build_KF(n)
     gens = []
     for l in L:
-        lv = embed_word(ring, l).vector_part()
-        for beta in _module_basis(ring, False):
-            gens.append(dot(beta, lv))
+        gens.extend(basis_pairings(embed_word(ring, l)))
     return IdealSpec(ring, _prune(ring, gens), "hashhash")
 
 
@@ -108,7 +129,7 @@ def bullet_generators(L, n: int) -> IdealSpec:
     """Generators 1 - bar(l)."""
     ring = build_KF(n)
     one = Poly.one()
-    gens = [one - embed_word(ring, l).bar() for l in L]
+    gens = [one - embed_bar(ring, l) for l in L]
     return IdealSpec(ring, _prune(ring, gens), "bullet")
 
 
@@ -118,15 +139,12 @@ def abelianization_kernel_generators(n: int) -> IdealSpec:
     These are the pairings of the basic brackets [v_a, v_b] against the
     anti-symmetric module basis, with zeros and duplicates removed.
     """
-    from .agmod import bracket
-
     ring = build_KF(n)
     gens = []
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             bb = bracket(AElem.basis_v(ring, a), AElem.basis_v(ring, b))
-            for beta in _module_basis(ring, False):
-                gens.append(dot(bb, beta))
+            gens.extend(basis_pairings(bb))
     return IdealSpec(ring, _prune(ring, gens), "custom")
 
 

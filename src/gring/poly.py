@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from . import kernel
 from .errors import ExponentOverflow, ForeignVariable
@@ -410,10 +411,32 @@ class MonomialOrder:
         return _unpack(m), p._t[m]
 
     def monic(self, p: Poly) -> Poly:
+        """p divided by its leading coefficient, with every integral
+        coefficient stored as an ``int``.
+
+        A lead of +-1 gives p or -p at once.  An integer lead divides each
+        integer term exactly through one gcd, and a ``Fraction`` is made
+        only for a term whose quotient is not integral.
+        """
         if p.is_zero():
             return p
-        _, c = self.leading(p)
-        return p * Fraction(1, c)  # __mul__ stores an integral 1/c as an int
+        c = p._t[self.lead_monomial(p)]
+        if c == 1:
+            return p._strict()
+        if c == -1:
+            return (-p)._strict()
+        integral = type(c) is int
+        out = {}
+        for m, v in p._t.items():
+            if not (integral and type(v) is int):
+                out[m] = _coeff(v / c)
+                continue
+            g = gcd(v, c)
+            num, den = v // g, c // g
+            if den < 0:
+                num, den = -num, -den
+            out[m] = num if den == 1 else Fraction(num, den)
+        return Poly._raw(out)
 
     def descriptor(self) -> dict:
         return {

@@ -5,8 +5,11 @@ import pytest
 from gring.agmod import (
     AElem,
     bar,
+    bar_product,
+    basis_pairings,
     bracket,
     dot,
+    embed_bar,
     embed_generator,
     embed_word,
     power_bar,
@@ -174,6 +177,66 @@ def test_power_bar_matches_direct_expansion(r3):
         g, h, k = mk(), mk(), mk()
         n = rng.randint(-8, 8)
         assert power_bar(r3, g, h, k, n) == bar(embed_word(r3, g * (h ** n) * k))
+
+
+def _random_elements(ring, rng, count):
+    """Embedded words, their vector parts, brackets and sums of them."""
+    out = [AElem.one(ring)]
+    if ring.n > 1:
+        out.append(AElem.basis_b(ring, 2, 1))
+    for _ in range(count):
+        sylls = [
+            (rng.randint(1, ring.n), rng.choice((1, -1, 2, -3)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        a = embed_word(ring, Word.from_syllables(sylls))
+        out += [a, a.vector_part(), a + AElem.basis_v(ring, ring.n)]
+        if ring.n > 1:
+            out.append(bracket(a.vector_part(), AElem.basis_v(ring, 1)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_rows_match_the_full_product(n):
+    ring = build_KF(n)
+    rng = random.Random(50 + n)
+    elems = _random_elements(ring, rng, 6)
+    for x in elems:
+        for y in rng.sample(elems, 6):
+            assert bar_product(x, y) == (x * y).bar()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_pairings_match_dot(n):
+    ring = build_KF(n)
+    basis = [AElem.basis_v(ring, i) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        basis += [AElem.basis_b(ring, i, j) for j in range(i + 1, n + 1)]
+    for x in _random_elements(ring, random.Random(60 + n), 8):
+        v = x.vector_part()
+        assert basis_pairings(x) == [dot(beta, v) for beta in basis]
+
+
+def test_embed_bar_is_the_scalar_part(r3):
+    rng = random.Random(7)
+    words = [Word.identity(), W("g2^-4")]
+    for _ in range(30):
+        sylls = [
+            (rng.randint(1, 3), rng.choice((1, -1, 3, -2)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        words.append(Word.from_syllables(sylls))
+    for w in words:
+        assert embed_bar(r3, w) == embed_word(r3, w).bar()
+
+
+def test_vector_part_copies_the_canonical_coordinates(r3):
+    a = embed_word(r3, W("g1*g2^2*g3^-1*g1"))
+    v = a.vector_part()
+    assert v == AElem(r3, None, a.vec, a.brk)
+    assert v.vec is not a.vec and v.brk is not a.brk
+    v.vec[1] = Poly.zero()
+    assert a.vec[1] != Poly.zero()
 
 
 def test_syzygy_rewrites_keep_coefficients_w_free(r3):

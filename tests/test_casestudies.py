@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from gring import casestudies
 from gring.casestudies import (
     BoyerInstance,
     Certificate,
     SWInstance,
+    SWRings,
     boyer_certificate,
     boyer_theta,
     build_E,
@@ -214,6 +216,25 @@ def test_sw_verify_random_words():
                 w = w * Word.generator(i, need)
         rep = sw_verify(SWInstance(2, 3, 5, w))
         assert rep.ok, rep.to_dict()
+
+
+def test_sw_verify_builds_the_J_basis_once(monkeypatch):
+    rings = SWRings(2, 3, 5)  # fresh, outside the ring cache
+    monkeypatch.setattr(casestudies, "sw_build", lambda r, s, t: rings)
+    built = []
+    ideal_gb = rings.A.ideal_gb
+
+    def counting(gens, deadline=None):
+        built.append(list(gens))
+        return ideal_gb(gens, deadline=deadline)
+
+    monkeypatch.setattr(rings.A, "ideal_gb", counting)
+    words = ("g1*g2*g3", "g3*g2*g1", "g1*g2*g3", "g3*g2*g1")
+    reports = [sw_verify(SWInstance(2, 3, 5, W3(w))).to_dict() for w in words]
+    assert built == [SWRings.J_gens()]
+    assert reports[:2] == reports[2:]
+    assert all(r["ok"] for r in reports)
+    assert rings.j_basis().polys == ideal_gb(SWRings.J_gens()).polys
 
 
 def test_sw_properness_for_product_word():

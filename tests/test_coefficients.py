@@ -101,13 +101,26 @@ def test_nf_stores_integral_coefficients_as_int(label):
 def test_monic_is_exact_not_float():
     x = Poly.variable("x")
     order = degrevlex([REGISTRY.lookup("x")])
+    xm = ((REGISTRY.lookup("x"), 1),)
     p = order.monic(2 * x + 1)
-    _exact(p)  # the lead may be Fraction(1): Fraction(1, 2) * 2
-    assert dict(p.terms()) == {((REGISTRY.lookup("x"), 1),): 1, (): Fraction(1, 2)}
+    _strict(p)
+    assert dict(p.terms()) == {xm: 1, (): Fraction(1, 2)}
+    assert type(dict(p.terms())[xm]) is int
     assert type(p.constant_term()) is Fraction
     q = order.monic(Fraction(2, 3) * x - 4)
-    _exact(q)
+    _strict(q)
     assert q == x - 6 and q.render() == "x - 6"
+    # a lead of -1 negates; an integer lead divides exactly
+    for p, want in (
+        (1 - x * x, x * x - 1),
+        (-2 * x * x + 4 * x - 3, x * x - 2 * x + Fraction(3, 2)),
+        (6 * x - 4, x - Fraction(2, 3)),
+        (-3 * x + 6, x - 2),
+        (x * x + Fraction(1, 2) + Fraction(1, 2), x * x + 1),
+    ):
+        got = order.monic(p)
+        _strict(got)
+        assert got == want, (p.render(), got.render())
 
 
 def test_float_coefficients_rejected():

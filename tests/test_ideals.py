@@ -1,10 +1,12 @@
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from gring.agmod import embed_word
+from gring import agmod, ideals
+from gring.agmod import AElem, dot, embed_word
 from gring.errors import GroebnerTimeout
 from gring.ideals import (
     Verdict,
@@ -252,3 +254,130 @@ def test_ideal_spec_serialization():
     assert d["provenance"] == "bullet"
     assert d["generators"] == ["lam1 - 1"]
     assert "order" in d["ambient"]
+
+
+# -- differential: generators against a frozen copy of the old path --------
+#
+# The old path built every generator through whole module elements: the
+# canonicalized basis {1, v_i, b_ij} as AElems, full AElem products for
+# hash, ``dot`` over a re-canonicalized vector part for hashhash, the whole
+# embedded word for bullet, and a second normal form plus a Fraction monic
+# in the pruning.  The generator tuples must agree, order and values.
+
+
+def _old_module_basis(ring, include_one):
+    basis = [AElem.one(ring)] if include_one else []
+    basis += [AElem.basis_v(ring, i) for i in range(1, ring.n + 1)]
+    for i, j in combinations(range(1, ring.n + 1), 2):
+        basis.append(AElem.basis_b(ring, i, j))
+    return basis
+
+
+def _old_prune(ring, gens):
+    out = []
+    seen = set()
+    for p in gens:
+        q = ring.nf(p)
+        if q.is_zero():
+            continue
+        _, c = ring.order.leading(q)
+        q = q * Fraction(1, c)
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    return tuple(out)
+
+
+def _old_hash(L, n, bases=None):
+    ring = build_KF(n)
+    gens = []
+    for idx, l in enumerate(L):
+        le = embed_word(ring, l)
+        betas = bases[idx] if bases is not None else _old_module_basis(ring, True)
+        for beta in betas:
+            gens.append((beta * le).bar() - beta.bar())
+    return _old_prune(ring, gens)
+
+
+def _old_hashhash(L, n):
+    ring = build_KF(n)
+    gens = []
+    for l in L:
+        le = embed_word(ring, l)
+        lv = AElem(ring, None, le.vec, le.brk)
+        for beta in _old_module_basis(ring, False):
+            gens.append(dot(beta, lv))
+    return _old_prune(ring, gens)
+
+
+def _old_bullet(L, n):
+    ring = build_KF(n)
+    return _old_prune(ring, [1 - embed_word(ring, l).bar() for l in L])
+
+
+RELATORS = {
+    1: ["g1^3", "g1^-5"],
+    2: ["g1^2", "g2^3", "g1*g2*g1^-1*g2^-1", "g1*g2*g1*g2*g1*g2"],
+    3: ["g1^2", "g1*g2*g3", "g1*g2*g1^-1*g2^-1*g3^2", "g3^-1*g1*g3^-1*g1"],
+}
+
+
+def _seeded_words(n, seed):
+    rng = random.Random(seed)
+    words = [Word.identity()] + [W(r) for r in RELATORS[n]]
+    for length in range(7):
+        sylls = [
+            (rng.randint(1, n), rng.choice((1, -1))) for _ in range(length)
+        ]
+        l = Word.from_syllables(sylls)
+        h = Word.from_syllables([(rng.randint(1, n), rng.choice((1, -1)))])
+        words += [l, h * l * h.inverse(), l ** 2, l ** 3]
+    return words
+
+
+def _assert_strict(gens):
+    for g in gens:
+        for _, c in g.terms():
+            assert type(c) is int or c.denominator > 1, (g.render(), c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generators_match_the_frozen_module_path(n):
+    for l in _seeded_words(n, 1000 + n):
+        for new, old in (
+            (hash_generators, _old_hash),
+            (hashhash_generators, _old_hashhash),
+            (bullet_generators, _old_bullet),
+        ):
+            got = new([l], n).generators
+            assert got == old([l], n), (new.__name__, l.render())
+            _assert_strict(got)
+    # a word set, generated together
+    L = [W(r) for r in RELATORS[n]]
+    assert hash_generators(L, n).generators == _old_hash(L, n)
+    assert hashhash_generators(L, n).generators == _old_hashhash(L, n)
+    assert bullet_generators(L, n).generators == _old_bullet(L, n)
+
+
+def test_hash_bases_family_matches_the_frozen_module_path():
+    ring = build_KF(2)
+    family = [embed_word(ring, W(t)) for t in ("e", "g1", "g2", "g2*g1", "g1^-2")]
+    family.append(AElem.basis_b(ring, 2, 1) + AElem.basis_v(ring, 2))
+    L = [W("g1^3"), W("g1*g2^-1*g1")]
+    bases = [family, family[1:]]
+    got = hash_generators(L, 2, bases=bases).generators
+    assert got == _old_hash(L, 2, bases=bases)
+    _assert_strict(got)
+
+
+def test_hash_takes_the_product_table_not_the_pairing(monkeypatch):
+    # criterion 8 compares hash with hashhash + bullet: hash must not be
+    # derived from the pairings that hashhash uses
+    def forbidden(*args):
+        raise AssertionError("hash_generators used the pairing")
+
+    want = hash_generators([W("g1*g2^2*g3^-1")], 3).generators
+    monkeypatch.setattr(ideals, "basis_pairings", forbidden)
+    monkeypatch.setattr(agmod, "basis_pairings", forbidden)
+    monkeypatch.setattr(agmod, "dot", forbidden)
+    assert hash_generators([W("g1*g2^2*g3^-1")], 3).generators == want
