@@ -26,21 +26,37 @@ packed; only an input with a reducible term is converted and reduced.
 The pair queue is a heap of ints.  A pair (i, j), i < j, is one int that
 holds, from the top, its sugar, its packed lcm (``Packing.lcm`` of the two
 leads), i and j; so pairs pop by sugar, then lcm, then index.  The sugar is
-``deg(lcm) + max(sugar_i - deg_i, sugar_j - deg_j)``.  A new element pairs
-only with the leads that share a variable with its own (the product
-criterion), read off one bitset per variable.  Each element keeps the
-bitset of the partners of its pending pairs, those formed but not popped.
+``deg(lcm) + max(sugar_i - deg_i, sugar_j - deg_j)``, and ``sugar - deg``
+is an element's excess.  A new element k pairs only with the leads that
+share a variable with its own (the product criterion), read off one bitset
+per variable.  Each element keeps the bitset of the partners of its
+pending pairs, those pushed but not popped.
+
+A partner i that a later lead has already retired from the reducers is
+paired *virtually* instead of pushed, as in Gebauer and Moeller's update
+(J. Symb. Comp. 6, 1988), when the excess never grows along i's chain of
+retirers i -> r_1 -> ... -> a live element.  The lead of r_1 divides
+lcm(i, k), so S(i, k) has a standard representation once S(i, r_1) and
+S(r_1, k) have one; (r_1, k) is virtual in turn when r_1 is retired.  The
+excess guard keeps those pairs from popping later than (i, k) would:
+their sugar is at most its sugar.  Without it the reduction path in a
+block order can change and grow far longer (Giovini et al., ISSAC 1991,
+on sugar).  Virtual pairs are kept as a second set of partner bitsets and
+count as chain-criterion skips.  A virtual pair is settled once its
+chain's real pairs have all popped, which one loop over the retirers
+checks.
 
 The chain criterion skips a popped pair (i, j) when the lead of some other
-element t divides its lcm and neither (i, t) nor (j, t) is pending.  The
-candidates t are one bitset expression of the two pending sets.  The
-element whose lead retired i's or j's from the reducers divides the lcm
-outright, so when it is a candidate the pair is skipped at once.
-Otherwise a few candidates are scanned with the guard-bit test, and more
-are cut down field by field, with one bitset per field and exponent ``e``
-of the leads whose exponent there is at most ``e``.  Every pair the
-product criterion keeps is pushed, popped and tested, so the bases and
-counters are those of a queue that scans every element for a witness.
+element t divides its lcm and both (i, t) and (j, t) are settled: popped,
+never formed, or virtual and settled.  The pair under test still counts as
+pending, so that no pair vouches for itself.  The candidates t with two
+real settled pairs are one bitset expression of the pending and virtual
+sets.  The element whose lead retired i's or j's from the reducers divides
+the lcm outright, so when it is such a candidate the pair is skipped at
+once.  Otherwise a few candidates are scanned with the guard-bit test, and
+more are cut down field by field, with one bitset per field and exponent
+``e`` of the leads whose exponent there is at most ``e``.  Only when none
+of them divides the lcm are the candidates with a virtual pair tested.
 
 Unit certificates come from the same engine.  With ``cofactor=True`` each
 element also carries its cofactor of the last generator, the only one an
@@ -62,9 +78,11 @@ from .poly import REGISTRY, MonomialOrder, Poly, _unpack
 
 #: Counters of one ``buchberger`` run, in ``GroebnerBasis.stats``: pairs
 #: formed (each element with each earlier one), pairs dropped by the
-#: product and by the chain criterion, generators and S-polynomials reduced
-#: by ``kernel.reduce_nd`` and those that reduced to zero, elements added
-#: (retired ones included), and the final interreduction's reductions.
+#: product criterion and by the chain criterion (virtual pairs, whose
+#: witness is the retirer, and popped pairs with a witness), generators
+#: and S-polynomials reduced by ``kernel.reduce_nd`` and those that
+#: reduced to zero, elements added (retired ones included), and the final
+#: interreduction's reductions.
 STATS = (
     "pairs",
     "product_skipped",
@@ -223,6 +241,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
     excess = []  # sugar minus lead degree
     tails = []  # monic dict minus its lead, shared with ``reducers``
     pending = []  # bitset of the partners of the element's pending pairs
+    virtual = []  # bitset of the partners of the element's virtual pairs
     retired_by = []  # bit of the element whose lead retired it, or 0
     index = {}  # lead -> element
     # occupied[f]: bitset of the elements whose lead has a nonzero
@@ -282,10 +301,21 @@ def _buchberger(gens, order, packing, deadline, cofactor):
                 occupied[f] |= bit_k
         stats["product_skipped"] += k - partners.bit_count()
         rest = partners
+        virtual_k = 0
         while rest:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
+            rb = retired_by[i]
+            if rb:  # virtual if the excess never grows along i's retirers
+                a = i
+                while rb and excess[rb.bit_length() - 1] <= excess[a]:
+                    a = rb.bit_length() - 1
+                    rb = retired_by[a]
+                if not rb:
+                    virtual_k |= low
+                    virtual[i] |= bit_k
+                    continue
             x = lcm_of(leads[i], lm)
             xi = excess[i]
             heappush(
@@ -300,7 +330,9 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         leads.append(lm)
         excess.append(xk)
         tails.append(d)
-        pending.append(partners)
+        pending.append(partners & ~virtual_k)
+        virtual.append(virtual_k)
+        stats["chain_skipped"] += virtual_k.bit_count()
         retired_by.append(0)
         index[lm] = k
         # the new lead retires any reducer it divides (retired elements keep
@@ -337,6 +369,40 @@ def _buchberger(gens, order, packing, deadline, cofactor):
                 break
         return cand
 
+    def settled(a, b):
+        """Whether the virtual pair of a and b is settled.  With a the
+        earlier one, retired when b came, and r its retirer: (a, r) has
+        popped, and (r, b) has popped or is virtual and settled in turn."""
+        if a > b:
+            a, b = b, a
+        while True:
+            rb = retired_by[a]
+            if pending[a] & rb:
+                return False
+            if not virtual[b] & rb:
+                return not pending[b] & rb
+            a = rb.bit_length() - 1
+
+    def vouched(i, j, cand, lcm):
+        """Whether an element of the bitset ``cand``, each with a virtual
+        pair with i or j and no pending one, divides ``lcm`` with both its
+        pairs settled."""
+        if cand.bit_count() > _SCAN_MAX:
+            cand = cut(cand, lcm)
+        lg = lcm | guard
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            if (lg - leads[t]) & guard != guard:
+                continue
+            if virtual[t] & (1 << i) and not settled(i, t):
+                continue
+            if virtual[t] & (1 << j) and not settled(j, t):
+                continue
+            return True
+        return False
+
     def unit_basis():
         gb = GroebnerBasis([Poly.one()], order, stats)
         gb.cofactor = Poly._raw(packing.to_frac(cof_of[0]))
@@ -369,16 +435,16 @@ def _buchberger(gens, order, packing, deadline, cofactor):
         j = key & imask
         bit_i = 1 << i
         bit_j = 1 << j
-        pending[i] ^= bit_j
-        pending[j] ^= bit_i
         lcm = key >> lcm_at & lcm_mask
         # chain criterion: skip the pair when some other lead t divides the
-        # lcm and neither (i, t) nor (j, t) is pending.  The element that
+        # lcm and both (i, t) and (j, t) are settled.  The element that
         # retired i or j is such a t when it is a candidate: its lead
-        # divides lmi or lmj.
+        # divides lmi or lmj.  (i, j) stays pending until the test is over.
         cand = ((1 << len(leads)) - 1) & ~(
             pending[i] | pending[j] | bit_i | bit_j
         )
+        virt = cand & (virtual[i] | virtual[j])
+        cand ^= virt
         if not cand & (retired_by[i] | retired_by[j]):
             if cand.bit_count() > _SCAN_MAX:
                 cand = cut(cand, lcm)
@@ -389,6 +455,10 @@ def _buchberger(gens, order, packing, deadline, cofactor):
                     if (lg - leads[low.bit_length() - 1]) & guard == guard:
                         break
                     cand ^= low
+            if not cand and virt:
+                cand = vouched(i, j, virt, lcm)
+        pending[i] ^= bit_j
+        pending[j] ^= bit_i
         if cand:
             stats["chain_skipped"] += 1
             continue

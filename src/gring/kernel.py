@@ -149,6 +149,35 @@ class Packing:
             known[x] = m
         return nd, known
 
+    def leading(self, monos):
+        """The ``Poly`` monomial of ``monos`` with the largest packed int,
+        the leading one in the order.  Each is packed as ``pack_nd`` packs
+        it, with the same errors, but only the largest is kept; ValueError
+        when there are none.  It repeats ``pack_nd``'s loop because one
+        generator shared by both made ``pack_nd`` about 9% slower."""
+        unit, guard, outside = self._unit, self.guard, self.outside
+        limit = self._fmask + 1
+        top = lead = -1
+        for m in monos:
+            if m & outside:
+                raise KeyError(m)
+            x = d = 0
+            r = m
+            while r:
+                s = (r & -r).bit_length() - 1
+                s -= s % EXP_BITS
+                e = r >> s & EXP_MASK
+                r -= e << s
+                x += e * unit[s // EXP_BITS]
+                d += e
+            if d >= limit or x & guard:
+                raise FieldOverflow
+            if x > top:
+                top, lead = x, m
+        if top < 0:
+            raise ValueError("no monomials")
+        return lead
+
     def to_frac(self, nd, known=None):
         """``Poly`` coefficient dict (``int`` when den is 1) of a packed
         (num, den) dict; monomials found in ``known`` are reused.  Raises

@@ -401,8 +401,10 @@ class MonomialOrder:
         """``Poly`` monomial of the leading term, the one with the largest
         packed int; p must be nonzero.  Raises ForeignVariable for a
         variable outside the order."""
-        nd, known = self.repacking(lambda _: self.pack_nd(p._t))
-        return known[max(nd)]
+        try:
+            return self.repacking(lambda packing: packing.leading(p._t))
+        except KeyError as exc:
+            raise self._foreign(exc.args[0]) from None
 
     def leading(self, p: Poly):
         """(tuple monomial, coefficient) of the leading term (see

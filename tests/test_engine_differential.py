@@ -5,7 +5,11 @@ as it was before the chain criterion got its support-bitmask and degree
 prefilter: it tests every lead with ``mono_div``, and it finishes the basis
 by interreducing until nothing changes.  The prefilter only skips
 divisibility tests that would fail, so on every input both engines must
-return the same reduced basis and reduce the same pairs.  Pairs reduced
+return the same reduced basis.  The engine also leaves virtual the pairs
+with a retired element that the reference pushes and pops: the relation
+bases of E and KF still reduce the same pairs, while the properness and
+criterion-8 ideals must reduce in all no more pairs than the reference.
+Every record's basis is compared before any count.  Pairs reduced
 are counted as calls of ``kernel.reduce_nd`` before the finish: the
 engine's one-pass finish makes one call per element after the first, and
 the reference's fixpoint loop makes at least two passes.  The engine now
@@ -416,8 +420,11 @@ def recorded(monkeypatch):
     return records, counter
 
 
-def _assert_same_as_reference(records, counter):
+def _reduced_pairs(records, counter):
+    """Pairs reduced by the engine and by the reference on each record,
+    after every basis has been compared with the reference's."""
     assert records
+    counts = []
     for gens, order, polys, calls in records:
         before = counter[0]
         finish = []
@@ -426,7 +433,24 @@ def _assert_same_as_reference(records, counter):
         ).polys
         assert polys == ref_polys
         # pairs reduced: the calls before the finish
-        assert calls - max(len(polys) - 1, 0) == finish[0] - before
+        counts.append((calls - max(len(polys) - 1, 0), finish[0] - before))
+    return counts
+
+
+def _assert_same_as_reference(records, counter):
+    """Equal bases, and equal pairs reduced on every record."""
+    for engine, reference in _reduced_pairs(records, counter):
+        assert engine == reference
+
+
+def _assert_no_more_reduced_than_reference(records, counter):
+    """Equal bases, and in all no more pairs reduced than the reference.
+
+    The engine leaves a pair with a retired element virtual, where the
+    reference pushes every pair, so the two reduce different pairs: one
+    run may reduce more than the reference and another fewer."""
+    counts = _reduced_pairs(records, counter)
+    assert sum(e for e, _ in counts) <= sum(r for _, r in counts)
 
 
 def _word(rng, n, length):
@@ -442,22 +466,25 @@ def _word(rng, n, length):
 PROPERNESS_ORDERS = ((2, 3, 5), (2, 3, 7), (2, 3, 9), (2, 4, 5), (2, 5, 7))
 
 
+def properness_word(rng, orders):
+    """Each generator once, in a seeded order; a factor of order 2 or 3
+    may get the exponent 1 - order instead of 1."""
+    gens = [1, 2, 3]
+    rng.shuffle(gens)
+    return Word.from_syllables(
+        (g, rng.choice((1, 1 - orders[g - 1])) if orders[g - 1] <= 3 else 1)
+        for g in gens
+    )
+
+
 def test_properness_ideals(recorded):
     rng = random.Random(20261018)
     for r, s, t in PROPERNESS_ORDERS:
-        # each generator once, in a seeded order; a factor of order 2 or 3
-        # may get the exponent 1 - order instead of 1
-        gens = [1, 2, 3]
-        rng.shuffle(gens)
-        orders = (r, s, t)
-        word = Word.from_syllables(
-            (g, rng.choice((1, 1 - orders[g - 1])) if orders[g - 1] <= 3 else 1)
-            for g in gens
-        )
+        word = properness_word(rng, (r, s, t))
         # built uncached, so the E' and A relation bases are recorded too
         rings = SWRings(r, s, t)
         rings.A.ideal_gb(sw_elements(SWInstance(r, s, t, word), rings))
-    _assert_same_as_reference(*recorded)
+    _assert_no_more_reduced_than_reference(*recorded)
 
 
 def test_E_relation_bases(recorded):
@@ -488,4 +515,4 @@ def test_criterion8_ideals(recorded):
                 h = _word(rng, n, 1)
                 conj = h * l * h.inverse()
                 kf.ideal_gb(hashhash_generators([conj], n).generators)
-    _assert_same_as_reference(*recorded)
+    _assert_no_more_reduced_than_reference(*recorded)

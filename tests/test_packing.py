@@ -6,13 +6,18 @@ the order of the frozen tuple key ``mono_key``, that ``+`` is ``mono_mul``,
 that the guard-bit test and ``m - l`` are ``mono_div``, and that
 ``Packing.lcm`` is ``mono_lcm``; a field passing its guard bit must be
 detected, never wrap.  Seeded random polynomials check that
-``MonomialOrder.leading`` picks the term with the largest tuple key.
+``MonomialOrder.leading`` picks the term with the largest tuple key, and
+that ``lead_monomial``, which keeps only the largest packed key, agrees
+with a frozen copy that packs every term, foreign variables and widening
+included.
 The overflow tests run the engine past the initial field width, and from
 the narrowest width on one- and two-block orders, and compare bases with
 the tuple-monomial reference engine and an inverse with the reference
 inversion; a result whose exponent passes the ``Poly`` limit must raise on
 the way out of the engine.
 """
+
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -22,7 +27,14 @@ from gring.casestudies import make_E
 from gring.errors import ExponentOverflow
 from gring.groebner import buchberger
 from gring.ideals import hashhash_generators
-from gring.poly import REGISTRY, Poly, block_order, degrevlex, parse_poly
+from gring.poly import (
+    REGISTRY,
+    MonomialOrder,
+    Poly,
+    block_order,
+    degrevlex,
+    parse_poly,
+)
 from gring.words import Word
 
 from test_engine_differential import (
@@ -142,6 +154,63 @@ def test_leading_widens_the_packing():
     lead, c = kf.order.leading(lam1**200 + kf.lam(2) * kf.lam(3))
     assert Poly({lead: c}) == lam1**200
     assert kf.order.packing.bits > bits
+
+
+def reference_lead_monomial(order, p):
+    """``MonomialOrder.lead_monomial`` as it was before it kept only the
+    largest key: every term packed through ``pack_nd``, then the largest."""
+    nd, known = order.repacking(lambda _: order.pack_nd(p._t))
+    return known[max(nd)]
+
+
+def _outcome(lead, order, p):
+    try:
+        return lead(order, p)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_lead_monomial_matches_the_reference():
+    rng = random.Random(20261022)
+    foreign = REGISTRY.var("lead_foreign")
+    for order in (SINGLE, _kf3_order()):
+        vids = [v for b in order.blocks for v in b]
+        polys = []
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                mono = tuple((v, rng.randint(1, 6)) for v in vids if rng.random() < 0.4)
+                terms[mono] = rng.randint(-5, 5) or 1
+            p = Poly(terms)
+            if p.is_zero():
+                continue
+            polys.append(p)
+            if rng.random() < 0.2:  # a foreign variable in some term
+                polys.append(p + Poly({((foreign, 1), (vids[0], 1)): 1}))
+        foreign_seen = 0
+        for p in polys:
+            want = _outcome(reference_lead_monomial, order, p)
+            assert _outcome(MonomialOrder.lead_monomial, order, p) == want
+            foreign_seen += type(want) is tuple
+        assert foreign_seen
+    kf = ring.build_KF(3)
+    for length in range(7):
+        for _ in range(4):
+            w = Word.from_syllables(
+                (rng.randint(1, 3), rng.choice((1, -1))) for _ in range(length)
+            )
+            for g in hashhash_generators([w], 3).generators:
+                if not g.is_zero():
+                    want = reference_lead_monomial(kf.order, g)
+                    assert kf.order.lead_monomial(g) == want
+
+
+def test_lead_monomial_widens_like_the_reference():
+    a, b = ring.KFRing(3), ring.KFRing(3)  # fresh orders at the initial width
+    bits = a.order.packing.bits
+    p = a.lam(1) ** 200 + a.lam(2) ** 150 * a.lam(3) ** 49 + a.lam(3)
+    assert a.order.lead_monomial(p) == reference_lead_monomial(b.order, p)
+    assert a.order.packing.bits == b.order.packing.bits > bits
 
 
 def test_pack_rejects_too_big_degree():
