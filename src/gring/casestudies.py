@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .agmod import AElem, bracket, dot, embed_bar, embed_word
+from .agmod import bracket, dot, embed_bar, embed_word, module_basis
 from .errors import (
     FormCheckFailed,
     GroebnerTimeout,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis
 from .poly import REGISTRY, Poly, block_order, chebyshev_like, degrevlex
-from .ring import QuotientRing, build_KF, cached_ring, invert, is_whole_ring
+from .ring import QuotientRing, build_KF, cached, invert, is_whole_ring
 from .words import Word
 
 
@@ -102,7 +102,7 @@ class BoyerInstance:
 
 def build_E(s: int, t: int) -> QuotientRing:
     """The ring ``make_E(s, t)``, built once per (s, t)."""
-    return cached_ring(make_E, s, t)
+    return cached(make_E, s, t)
 
 
 def make_E(s: int, t: int) -> QuotientRing:
@@ -129,12 +129,15 @@ def make_E(s: int, t: int) -> QuotientRing:
 
 def boyer_theta(p: Poly, E: QuotientRing) -> Poly:
     """Specialize lam1 -> mu1, lam2 -> mu2, m12 -> s1*s2*x, then reduce."""
+    return E.nf(p.substitute(cached(_boyer_theta_map)))
+
+
+def _boyer_theta_map():
     ring2 = build_KF(2)
     mu1, mu2, s1, s2, x = (
         Poly.variable(n) for n in ("mu1", "mu2", "s1", "s2", "x")
     )
-    sub = {ring2._lam[1]: mu1, ring2._lam[2]: mu2, ring2._m[(1, 2)]: s1 * s2 * x}
-    return E.nf(p.substitute(sub))
+    return {ring2._lam[1]: mu1, ring2._lam[2]: mu2, ring2._m[(1, 2)]: s1 * s2 * x}
 
 
 def _x_remainder_mod_quadric(p: Poly) -> Poly:
@@ -382,8 +385,6 @@ class SWRings:
 
     def __init__(self, r: int, s: int, t: int):
         self.r, self.s, self.t = r, s, t
-        self._s_inv = {}
-        self._j_gb = None
         vids = _sw_vids()
         xv = REGISTRY.var("x")
         erels = [
@@ -410,17 +411,12 @@ class SWRings:
 
     def s_inverse(self, i: int) -> Poly:
         """Inverse of the sine s_i in E'; computed once per ring."""
-        inv = self._s_inv.get(i)
-        if inv is None:
-            inv = self._s_inv[i] = invert(Poly.variable(f"s{i}"), self.eprime)
-        return inv
+        return cached(_sine_inverse, self.eprime, i)
 
     def j_basis(self) -> GroebnerBasis:
         """Reduced basis of J (``J_gens``) plus the relations of A;
         computed once per ring."""
-        if self._j_gb is None:
-            self._j_gb = self.A.ideal_gb(self.J_gens())
-        return self._j_gb
+        return cached(_j_basis, self.A)
 
     def W(self) -> Poly:
         mu1, mu2, mu3 = (Poly.variable(f"mu{i}") for i in (1, 2, 3))
@@ -475,9 +471,17 @@ class SWRings:
         return [u, v, 1 - x * x, 1 - y * y]
 
 
+def _sine_inverse(eprime: QuotientRing, i: int) -> Poly:
+    return invert(Poly.variable(f"s{i}"), eprime)
+
+
+def _j_basis(A: QuotientRing) -> GroebnerBasis:
+    return A.ideal_gb(SWRings.J_gens())
+
+
 def sw_build(r: int, s: int, t: int) -> SWRings:
     """The rings ``SWRings(r, s, t)``, built once per (r, s, t)."""
-    return cached_ring(SWRings, r, s, t)
+    return cached(SWRings, r, s, t)
 
 
 def _relation_matrix():
@@ -505,11 +509,7 @@ def sw_elements(inst: SWInstance, rings: SWRings | None = None):
     ring3 = build_KF(3)
     w = inst.normalized_word()
     vw = embed_word(ring3, w).vector_part()
-    v1 = AElem.basis_v(ring3, 1)
-    v2 = AElem.basis_v(ring3, 2)
-    v3 = AElem.basis_v(ring3, 3)
-    b12 = bracket(v1, v2)
-    b13 = bracket(v1, v3)
+    _, v1, _, _, b12, b13, _ = module_basis(ring3)
     bv1w = bracket(v1, vw)
     inv_s1 = rings.s_inverse(1)
     inv_s2 = rings.s_inverse(2)
@@ -594,7 +594,7 @@ def sw_static_checks() -> CheckReport:
     """Identities that hold for every instance: checked once, exactly."""
     report = CheckReport("sw-static")
     x, y, u, v = (Poly.variable(n) for n in _QUADRIC_NAMES)
-    A4 = cached_ring(_make_A4)
+    A4 = cached(_make_A4)
     N, M = _relation_matrix()
     for i in range(4):
         for j in range(4):
@@ -677,7 +677,7 @@ def conjecture_probe(
         "c0": str(c0), "c1": str(c1), "c2": str(c2), "c3": str(c3),
         "seed": seed, "trials": trials,
     })
-    A4 = cached_ring(_make_A4)
+    A4 = cached(_make_A4)
     x, y = Poly.variable("x"), Poly.variable("y")
     _, M = _relation_matrix()
     jgens = SWRings.J_gens()

@@ -206,10 +206,11 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``deadline`` is an optional ``time.monotonic()`` value; exceeding it
-    raises GroebnerTimeout, which carries the counters so far.  The zero
-    ideal yields an empty basis.  The basis's ``stats`` holds the run's
-    counters (see ``STATS``).
+    ``deadline`` is an optional ``time.monotonic()`` value, read before
+    each reduction and inside each one (see ``kernel.reduce_nd``);
+    exceeding it raises GroebnerTimeout, which carries the counters so
+    far.  The zero ideal yields an empty basis.  The basis's ``stats``
+    holds the run's counters (see ``STATS``).
 
     With ``cofactor`` set, every element also carries its cofactor of the
     last generator: a polynomial c with element = c * gens[-1] modulo the
@@ -261,14 +262,20 @@ def _buchberger(gens, order, packing, deadline, cofactor):
     pairs = []  # heap of pair keys
     late = "basis computation exceeded its deadline"
 
+    def reduce(d, rs, cofs=None):
+        """``kernel.reduce_nd`` under the run's deadline; a timeout inside
+        one reduction carries the run's counters too."""
+        try:
+            return kernel.reduce_nd(d, rs, guard, cofs, deadline)
+        except GroebnerTimeout:
+            raise GroebnerTimeout(late, stats) from None
+
     def reduce_full(d, cof):
         """Normal form of d; reduces the cofactor ``cof`` along, in place."""
         if not reducers:
             return d
         stats["reduced"] += 1
-        r = kernel.reduce_nd(
-            d, reducers, guard, None if cof is None else (cof, cof_of)
-        )
+        r = reduce(d, reducers, None if cof is None else (cof, cof_of))
         if not r:
             stats["reduced_to_zero"] += 1
         return r
@@ -493,7 +500,7 @@ def _buchberger(gens, order, packing, deadline, cofactor):
     for lm, tail in reducers:
         if final:
             stats["finish_reductions"] += 1
-            tail = kernel.reduce_nd(tail, final, guard)
+            tail = reduce(tail, final)
         final.append((lm, tail))
         polys.append(Poly._raw(packing.to_frac({lm: (1, 1), **tail}, known)))
     gb = GroebnerBasis(polys, order, stats)

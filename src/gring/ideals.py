@@ -7,15 +7,15 @@ ideal (``bullet``).  Comparing ``hashhash`` ideals of two word sets gives
 a sound (never complete) test that one set fails to normally generate the
 normal closure of the other.
 
-Each generator is computed once, from coordinates that are already
-canonical, and comes out as a normal form: a ``hashhash`` generator is a
-pairing read off the coordinates of the embedded word
-(``agmod.basis_pairings``), a ``hash`` generator takes bar(beta * l) from
-the scalar rows of the product table (``agmod.bar_product``), and a
-``bullet`` generator needs only the scalar part of the word
-(``agmod.embed_bar``).  No module-basis product is formed for them and no
-generator is reduced twice; ``_prune`` only scales to a monic generator
-with integer division and drops zeros and repeats.
+Each generator is computed once and comes out as a normal form: a
+``hashhash`` generator is the pairing ``dot`` of a module basis element
+with the embedded word (``agmod.basis_pairings``), a ``hash`` generator
+takes bar(beta * l) from the scalar rows of the product table
+(``agmod.bar_product``), and a ``bullet`` generator needs only the scalar
+part of the word (``agmod.embed_bar``).  The basis {1, v_i, b_ij} is
+``agmod.module_basis``, made once per ring.  No generator is reduced
+twice; ``_prune`` only scales to a monic generator with integer division
+and drops zeros and repeats.
 """
 
 from __future__ import annotations
@@ -24,15 +24,14 @@ import enum
 from dataclasses import dataclass
 
 from .agmod import (
-    AElem,
     bar_product,
     basis_pairings,
-    bracket,
     embed_bar,
     embed_word,
+    module_basis,
 )
 from .poly import Poly
-from .ring import KFRing, QuotientRing, build_KF
+from .ring import KFRing, QuotientRing, build_KF, ideal_equal
 from .words import Presentation, Word
 
 
@@ -66,17 +65,6 @@ class IdealSpec:
         }
 
 
-def _module_basis(ring: KFRing):
-    """The canonical module basis {1, v_i, b_ij}."""
-    basis = [AElem.one(ring)]
-    for i in range(1, ring.n + 1):
-        basis.append(AElem.basis_v(ring, i))
-    for i in range(1, ring.n + 1):
-        for j in range(i + 1, ring.n + 1):
-            basis.append(AElem.basis_b(ring, i, j))
-    return basis
-
-
 def _prune(ring: KFRing, gens):
     """Drop zero and duplicate generators, normalizing scale.
 
@@ -96,28 +84,27 @@ def _prune(ring: KFRing, gens):
     return tuple(out)
 
 
-def hash_generators(L, n: int, bases=None) -> IdealSpec:
-    """Generators bar(beta * l) - bar(beta) over the module basis.
+def hash_generators(L, n: int) -> IdealSpec:
+    """Generators bar(beta * l) - bar(beta) over the module basis
+    {1, v_i, b_ij}.
 
-    ``bases`` optionally supplies an alternative generating family per
-    word (a list of AElem lists, parallel to L); by default the canonical
-    basis {1, v_i, b_ij} is used for every word.  bar(beta * l) comes from
-    the scalar rows of the product table (``bar_product``), not from the
-    pairings behind ``hashhash_generators``.
+    bar(beta * l) comes from the scalar rows of the product table
+    (``bar_product``), not from the pairings behind
+    ``hashhash_generators``.
     """
     ring = build_KF(n)
-    basis = _module_basis(ring)
+    basis = module_basis(ring)
     gens = []
-    for idx, l in enumerate(L):
+    for l in L:
         le = embed_word(ring, l)
-        for beta in bases[idx] if bases is not None else basis:
+        for beta in basis:
             gens.append(bar_product(beta, le) - beta.bar())
     return IdealSpec(ring, _prune(ring, gens), "hash")
 
 
 def hashhash_generators(L, n: int) -> IdealSpec:
     """Generators dot(beta, vec(l)) over the anti-symmetric module basis
-    {v_i, b_ij}, read off the coordinates of l (``basis_pairings``)."""
+    {v_i, b_ij} (``basis_pairings``)."""
     ring = build_KF(n)
     gens = []
     for l in L:
@@ -136,15 +123,13 @@ def bullet_generators(L, n: int) -> IdealSpec:
 def abelianization_kernel_generators(n: int) -> IdealSpec:
     """Generators of the kernel ideal of the map killing all commutators.
 
-    These are the pairings of the basic brackets [v_a, v_b] against the
-    anti-symmetric module basis, with zeros and duplicates removed.
+    These are the pairings of the basic brackets b_ab = [v_a, v_b] against
+    the anti-symmetric module basis, with zeros and duplicates removed.
     """
     ring = build_KF(n)
     gens = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            bb = bracket(AElem.basis_v(ring, a), AElem.basis_v(ring, b))
-            gens.extend(basis_pairings(bb))
+    for bb in module_basis(ring)[n + 1 :]:
+        gens.extend(basis_pairings(bb))
     return IdealSpec(ring, _prune(ring, gens), "custom")
 
 
@@ -181,11 +166,10 @@ def normally_generates_check(
     raises GroebnerTimeout.
     """
     n = pres.generator_count
-    ring = build_KF(n)
     gens_all = [Word.generator(i) for i in range(1, n + 1)]
     make = hash_generators if use_hash else hashhash_generators
     lhs = make(list(pres.relators) + list(L), n)
     rhs = make(gens_all, n)
-    if lhs.gb(deadline).polys == rhs.gb(deadline).polys:
+    if ideal_equal(lhs.generators, rhs.generators, lhs.ambient, deadline):
         return Verdict.INCONCLUSIVE
     return Verdict.CERTIFIED_NO

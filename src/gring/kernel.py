@@ -39,11 +39,12 @@ No function here calls ``reduce_nd``, so a run-time tracer that wraps that
 name sees only the calls from outside.
 """
 
+import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .errors import ExponentOverflow
+from .errors import ExponentOverflow, GroebnerTimeout
 
 #: Width in bits, guard bit included, of a variable's field in a ``Poly``
 #: monomial, the mask of one field, and the largest exponent it holds.
@@ -51,6 +52,9 @@ EXP_BITS = 16
 EXP_MASK = (1 << EXP_BITS) - 1
 EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 _OVERFLOW = f"an exponent exceeds {EXP_MAX}"
+#: Reduction steps, or terms of a cofactor update, between two reads of
+#: the clock in ``reduce_nd``.
+CLOCK_STEPS = 64
 
 
 def backend() -> str:
@@ -327,7 +331,12 @@ def nd_shift(p, q, guard):
     return out
 
 
-def reduce_nd(p, reducers, guard, cofactor=None):
+def _check(deadline):
+    if time.monotonic() > deadline:
+        raise GroebnerTimeout("reduction exceeded its deadline")
+
+
+def reduce_nd(p, reducers, guard, cofactor=None, deadline=None):
     """Full normal form of a packed (num, den) pair dict.
 
     ``reducers`` is a list of ``(lead, tail_dict)`` pairs of packed
@@ -341,6 +350,11 @@ def reduce_nd(p, reducers, guard, cofactor=None):
     cofactor dict of ``p`` and a dict from each reducer's lead to its
     cofactor dict.  Each step that subtracts ``c * x^q`` times a reducer
     subtracts the same multiple of its cofactor from ``cof``, in place.
+
+    ``deadline``, when given, is a ``time.monotonic()`` value, read once
+    every ``CLOCK_STEPS`` reduction steps and, in a cofactor update, once
+    every ``CLOCK_STEPS`` cofactor terms; past it the call raises
+    GroebnerTimeout.
     """
     work = dict(p)
     out = {}
@@ -349,6 +363,7 @@ def reduce_nd(p, reducers, guard, cofactor=None):
     cof, reducer_cofs = cofactor if cofactor is not None else (None, None)
     heap = [-m for m in work]  # heapq is a min-heap: negated monomials
     heapify(heap)
+    steps = 0
     while heap:
         m = -heappop(heap)
         c = work.pop(m, None)
@@ -365,10 +380,20 @@ def reduce_nd(p, reducers, guard, cofactor=None):
         if tail is None:
             out[m] = c
             continue
+        if deadline is not None:
+            steps += 1
+            if not steps % CLOCK_STEPS:
+                _check(deadline)
         q = m - lm
         cn, cd = c
         if cof is not None:
-            _nd_isub(cof, nd_scale(nd_shift(reducer_cofs[lm], q, guard), cn, cd))
+            # a cofactor's coefficients grow long, so a single update can
+            # take seconds: it goes CLOCK_STEPS terms at a time
+            terms = list(nd_shift(reducer_cofs[lm], q, guard).items())
+            for at in range(0, len(terms), CLOCK_STEPS):
+                _nd_isub(cof, nd_scale(dict(terms[at : at + CLOCK_STEPS]), cn, cd))
+                if deadline is not None:
+                    _check(deadline)
         for tm, (tn, td) in tail.items():
             nm = tm + q
             g1 = gcd(cn, td)

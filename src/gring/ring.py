@@ -180,12 +180,10 @@ class KFRing(QuotientRing):
                 self._m_of[(i, j)] = Poly.one() - li * li
             else:
                 self._m_of[(i, j)] = self._var[self._m[tuple(sorted((i, j)))]]
-        self._w_signed_of = {}
         self._w_of = {}
         for t in product(idx, repeat=3):
             sign = _perm_sign(t)
             p = self._var[self._w[tuple(sorted(t))]] if sign else Poly.zero()
-            self._w_signed_of[t] = sign, p
             self._w_of[t] = p if sign >= 0 else -p
         lam_vids = list(self._lam.values())
         m_vids = list(self._m.values())
@@ -222,13 +220,6 @@ class KFRing(QuotientRing):
         if p is None:
             raise ForeignVariable("triple index out of range")
         return p
-
-    def w_signed(self, i: int, j: int, k: int):
-        """(sign, canonical variable Poly); sign 0 with zero Poly on repeats."""
-        sp = self._w_signed_of.get((i, j, k))
-        if sp is None:
-            raise ForeignVariable("triple index out of range")
-        return sp
 
     def split_w(self, p: Poly):
         """Split a normal form as plain + sum over triples of w_T * rest.
@@ -293,22 +284,23 @@ class KFRing(QuotientRing):
         return rels
 
 
-_RING_CACHE = {}
+_CACHE = {}
 
 
-def cached_ring(make, *args):
-    """``make(*args)``, built once per process and shared by every caller.
+def cached(make, *args):
+    """``make(*args)``, computed once per process and shared by every caller.
 
-    A ring never changes after construction, so one object can serve all
-    callers.  Every cached ring constructor goes through here.
+    For values that never change once made: rings, module bases, inverses,
+    bases of fixed ideals and substitution maps.  Every such cache in gring
+    goes through here; ``args`` must be hashable.
     """
     key = (make, *args)
-    ring = _RING_CACHE.get(key)
-    if ring is None:
-        ring = _RING_CACHE[key] = make(*args)
-    return ring
+    value = _CACHE.get(key)
+    if value is None:
+        value = _CACHE[key] = make(*args)
+    return value
 
 
 def build_KF(n: int) -> KFRing:
     """The rank-n coordinate ring; cached per ``n``."""
-    return cached_ring(KFRing, n)
+    return cached(KFRing, n)

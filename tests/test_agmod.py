@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gring import agmod
 from gring.agmod import (
     AElem,
     bar,
@@ -215,6 +216,19 @@ def test_basis_pairings_match_dot(n):
     for x in _random_elements(ring, random.Random(60 + n), 8):
         v = x.vector_part()
         assert basis_pairings(x) == [dot(beta, v) for beta in basis]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_syllable_is_canonical_as_built(n):
+    # embed_word and embed_bar take the syllable a + b*v_k without
+    # canonicalizing it; canonicalizing must change nothing
+    ring = build_KF(n)
+    for k in range(1, n + 1):
+        for e in (1, -1, 2, -3, 6):
+            raw = agmod._syllable(ring, k, e)
+            canon = AElem(ring, raw.scalar, raw.vec, raw.brk)
+            assert canon.scalar == raw.scalar and canon.vec == raw.vec
+            assert canon.brk == raw.brk == {}
 
 
 def test_embed_bar_is_the_scalar_part(r3):

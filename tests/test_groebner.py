@@ -171,6 +171,54 @@ def test_timeout_carries_stats():
     assert exc.value.stats["reduced"] > 0
 
 
+def _stub_clock(monkeypatch, on_time):
+    """Replace ``time.monotonic`` with a clock that reads 0 on its first
+    ``on_time`` reads and 100 afterwards; returns the list of reads."""
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= on_time else 100.0
+
+    monkeypatch.setattr(time, "monotonic", clock)
+    return reads
+
+
+def _many_steps(k):
+    """(x + z + 1)^k * y: reducing it by y - 1 takes one step per term."""
+    return (x + z + 1) ** k * y
+
+
+def test_reduce_nd_reads_the_clock_every_clock_steps(monkeypatch):
+    order = _order("x", "y", "z")
+    (reducer,) = buchberger([y - 1], order)._reducers(order.packing)
+
+    def run(p, deadline):
+        d, _ = order.pack_nd(p._t)
+        return kernel.reduce_nd(d, [reducer], order.packing.guard, None, deadline)
+
+    few, many = _many_steps(8), _many_steps(20)
+    assert len(few._t) < kernel.CLOCK_STEPS < len(many._t)
+    reads = _stub_clock(monkeypatch, 0)
+    assert run(few, 1.0) and run(many, None)
+    assert reads == []
+    with pytest.raises(GroebnerTimeout):
+        run(many, 1.0)
+    assert len(reads) == 1
+
+
+def test_deadline_stops_one_long_reduction(monkeypatch):
+    # the engine reads the clock before each of the two generators, on
+    # time; the reduction of the second then passes the deadline inside
+    # one kernel call, and the timeout still carries the run's counters
+    reads = _stub_clock(monkeypatch, 2)
+    with pytest.raises(GroebnerTimeout) as exc:
+        buchberger([y - 1, _many_steps(20)], _order("x", "y", "z"), deadline=1.0)
+    assert len(reads) == 3
+    assert exc.value.stats["reduced"] == 1
+    assert exc.value.stats["elements_added"] == 1
+
+
 def _properness_basis():
     rings = SWRings(2, 3, 5)
     word = Word.from_syllables([(1, 1), (2, 1), (3, 1)])

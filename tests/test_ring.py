@@ -32,12 +32,10 @@ def test_canonical_m_diagonal_rewrites():
 
 def test_canonical_w_signs():
     ring = build_KF(3)
-    s, p = ring.w_signed(1, 2, 3)
-    assert s == 1 and p.render() == "w123"
-    s, p = ring.w_signed(3, 2, 1)
-    assert s == -1 and p.render() == "w123"
-    s, p = ring.w_signed(1, 1, 2)
-    assert s == 0 and p.is_zero()
+    w123 = Poly.variable("w123")
+    assert ring.w(1, 2, 3) == w123 and ring.w(1, 2, 3).render() == "w123"
+    assert ring.w(3, 2, 1) == -w123
+    assert ring.w(1, 1, 2).is_zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -49,15 +47,13 @@ def test_symbol_tables_match_their_definitions(n):
         want = 1 - ring.lam(i) ** 2 if i == j else Poly.variable(f"m{lo}{hi}")
         assert ring.m(i, j) == want
     for t in itertools.product(idx, repeat=3):
-        sign, p = ring.w_signed(*t)
         if len(set(t)) < 3:
-            assert sign == 0 and p.is_zero() and ring.w(*t).is_zero()
+            assert ring.w(*t).is_zero()
             continue
-        assert p == Poly.variable("w" + "".join(map(str, sorted(t))))
+        p = Poly.variable("w" + "".join(map(str, sorted(t))))
         perm = sorted(range(3), key=t.__getitem__)
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        assert sign == (-1) ** inversions
-        assert ring.w(*t) == sign * p
+        assert ring.w(*t) == (-1) ** inversions * p
     for bad in (0, n + 1):
         with pytest.raises(ForeignVariable):
             ring.m(bad, 1)
@@ -66,7 +62,7 @@ def test_symbol_tables_match_their_definitions(n):
         with pytest.raises(ForeignVariable):
             ring.w(1, 1, bad)
         with pytest.raises(ForeignVariable):
-            ring.w_signed(bad, 1, 1)
+            ring.w(bad, 1, 1)
 
 
 def test_split_w_without_triple_symbols():
