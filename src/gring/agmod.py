@@ -6,7 +6,9 @@ coefficients over the module generators ``{v_i}`` (degree-one part) and
 closed multiplication table with structure constants given by the
 canonical ``m``/``w`` symbols; coefficient dictionaries are canonicalized
 (normal forms plus the syzygy rewriting described on AElem), so equality
-of elements is equality of dictionaries.
+of elements is equality of dictionaries.  Each coordinate of a product or
+a rewrite is a sum of products; it accumulates in one coefficient dict
+through ``kernel.poly_addmul`` and becomes a ``Poly`` once, at the end.
 
 The product rule x*y = bar(x)bar(y) - <vec x, vec y> + bar(x) vec y +
 bar(y) vec x + [vec x, vec y] is written out four times, on purpose:
@@ -15,7 +17,8 @@ bar(y) vec x + [vec x, vec y] is written out four times, on purpose:
 The identity battery checks ``__mul__`` against ``dot`` and ``bracket``,
 and criterion 8 compares ``hash`` ideals, built through ``bar_product``,
 with ``hashhash`` plus ``bullet`` ideals, built through ``dot``; a shared
-encoding would let one wrong row pass both sides of each check.
+encoding would let one wrong row pass both sides of each check.  They
+share the accumulation primitive, not their rows.
 Everything else goes through these four.  ``module_basis`` is the basis
 {1, v_i, b_ij}, made once per ring; ``basis_pairings`` is ``dot``
 against its v_i and b_ij.
@@ -24,10 +27,10 @@ A word embeds through the letter map g_k -> lam_k +- v_k.  Since
 v_k^2 = -m(k,k) = lam_k^2 - 1, a syllable has the closed form
 (lam_k +- v_k)^e = T_e(lam_k) +- U_{e-1}(lam_k) v_k for e >= 1, with
 a_1 = lam_k, b_1 = 1 and a <- a*lam_k - b*m(k,k), b <- a + b*lam_k;
-``embed_word`` multiplies by it one syllable at a time through
-``AElem.__mul__``.  ``embed_bar`` takes the scalar part of an embedded
-word through ``bar_product``, without forming the last product's vector
-and bracket parts.
+``embed_word`` starts from the first syllable's element as built and
+multiplies by each further one through ``AElem.__mul__``.  ``embed_bar``
+takes the scalar part of an embedded word through ``bar_product``,
+without forming the last product's vector and bracket parts.
 """
 
 from __future__ import annotations
@@ -36,24 +39,34 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import GringError
+from .kernel import UNIT, poly_addmul, poly_mul
 from .poly import REGISTRY, Poly, chebyshev_like
 from .ring import KFRing, cached
 from .words import Word
 
 
-def _acc(d, key, p):
-    if p.is_zero():
-        return
-    prev = d.get(key)
-    d[key] = p if prev is None else prev + p
-
-
-def _acc_b(d, i, j, p):
-    """Add p to the coefficient of b_ij in ``d``: b_ii = 0, b_ji = -b_ij."""
+def _addmul_b(out_b, i, j, p, q, guard, sign=1):
+    """Add sign*p*q to the coefficient dict of b_ij in ``out_b``: b_ii = 0,
+    b_ji = -b_ij."""
     if i < j:
-        _acc(d, (i, j), p)
+        poly_addmul(out_b.setdefault((i, j), {}), p, q, guard, sign)
     elif i > j:
-        _acc(d, (j, i), -p)
+        poly_addmul(out_b.setdefault((j, i), {}), p, q, guard, -sign)
+
+
+def _written(acc, shared, key):
+    """The dict in ``acc`` that accumulates ``key``; on first use a copy
+    of ``shared[key]``'s terms, so that ``shared`` is never written."""
+    d = acc.get(key)
+    if d is None:
+        p = shared.get(key)
+        d = acc[key] = dict(p._t) if p is not None else {}
+    return d
+
+
+def _polys(dicts):
+    """The nonzero coefficient dicts of ``dicts`` wrapped as Polys."""
+    return {key: Poly._raw(d) for key, d in dicts.items() if d}
 
 
 class AElem:
@@ -89,39 +102,54 @@ class AElem:
             q = nf(p)
             if not q.is_zero():
                 vec_nf[i] = q
-        brk_acc = {}
+        brk_in = {}
         for (i, j), p in (brk or {}).items():
             if not (1 <= i < j <= ring.n):
                 raise GringError(f"bracket index pair {(i, j)} not canonical")
             if not p.is_zero():
-                _acc(brk_acc, (i, j), p)
+                brk_in[(i, j)] = p
+
+        guard = REGISTRY.guard
+        m = ring.m
 
         def gram(a, b, c, d):
-            return ring.m(a, c) * ring.m(b, d) - ring.m(a, d) * ring.m(b, c)
+            return m(a, c) * m(b, d) - m(a, d) * m(b, c)
 
+        # the w part of each v_l coefficient moves onto brackets
         vec_plain = {}
+        brk_w = {}  # bracket coefficients the rewrite wrote into
         for l, q in vec_nf.items():
             plain, by_triple = ring.split_w(q)
             if not plain.is_zero():
                 vec_plain[l] = plain
             for (i, j, k), c in by_triple.items():
-                _acc(brk_acc, (j, k), c * ring.m(i, l))
-                _acc(brk_acc, (i, k), -(c * ring.m(j, l)))
-                _acc(brk_acc, (i, j), c * ring.m(k, l))
+                for ab, g, sign in (
+                    ((j, k), m(i, l), 1),
+                    ((i, k), m(j, l), -1),
+                    ((i, j), m(k, l), 1),
+                ):
+                    acc = _written(brk_w, brk_in, ab)
+                    poly_addmul(acc, c._t, g._t, guard, sign)
+        # and the w part of each b_ab coefficient onto v's
         self.brk = {}
-        for (a, b), p in brk_acc.items():
+        vec_w = {}  # v coefficients the rewrite wrote into
+        brk_w = {ab: Poly._raw(d) for ab, d in brk_w.items()}
+        for (a, b), p in {**brk_in, **brk_w}.items():
             plain, by_triple = ring.split_w(nf(p))
             if not plain.is_zero():
                 self.brk[(a, b)] = plain
             for (i, j, k), c in by_triple.items():
-                _acc(vec_plain, i, c * gram(a, b, j, k))
-                _acc(vec_plain, j, -(c * gram(a, b, i, k)))
-                _acc(vec_plain, k, c * gram(a, b, i, j))
-        self.vec = {}
-        for l, p in vec_plain.items():
-            q = nf(p)
-            if not q.is_zero():
-                self.vec[l] = q
+                for l, g, sign in (
+                    (i, gram(a, b, j, k), 1),
+                    (j, gram(a, b, i, k), -1),
+                    (k, gram(a, b, i, j), 1),
+                ):
+                    acc = _written(vec_w, vec_plain, l)
+                    poly_addmul(acc, c._t, g._t, guard, sign)
+        # the other v coefficients are w-free normal forms already
+        for l, d in vec_w.items():
+            vec_plain[l] = nf(Poly._raw(d))
+        self.vec = {l: p for l, p in vec_plain.items() if not p.is_zero()}
 
     # -- constructors ----------------------------------------------------
 
@@ -207,56 +235,54 @@ class AElem:
             return NotImplemented
         self._check(other)
         ring = self.ring
-        out_s = self.scalar * other.scalar
+        m, w = ring.m, ring.w
+        guard = REGISTRY.guard
+        x_s, y_s = self.scalar._t, other.scalar._t
+        out_s = poly_mul(x_s, y_s, guard)
         out_v = {}
         out_b = {}
 
         # scalar times basis parts, both sides
-        if not self.scalar.is_zero():
-            for i, p in other.vec.items():
-                _acc(out_v, i, self.scalar * p)
-            for (i, j), p in other.brk.items():
-                _acc_b(out_b, i, j, self.scalar * p)
-        if not other.scalar.is_zero():
-            for i, p in self.vec.items():
-                _acc(out_v, i, other.scalar * p)
-            for (i, j), p in self.brk.items():
-                _acc_b(out_b, i, j, other.scalar * p)
+        for s, y in ((x_s, other), (y_s, self)):
+            if s:
+                for i, p in y.vec.items():
+                    poly_addmul(out_v.setdefault(i, {}), s, p._t, guard)
+                for ij, p in y.brk.items():
+                    poly_addmul(out_b.setdefault(ij, {}), s, p._t, guard)
 
         # v_i * v_j = -m(i,j) + b_ij
         for i, a in self.vec.items():
             for j, b in other.vec.items():
-                c = a * b
-                out_s = out_s - c * ring.m(i, j)
-                _acc_b(out_b, i, j, c)
+                c = poly_mul(a._t, b._t, guard)
+                poly_addmul(out_s, c, m(i, j)._t, guard, -1)
+                _addmul_b(out_b, i, j, c, UNIT, guard)
 
         # b_ij * v_k = -w(i,j,k) + m(i,k) v_j - m(j,k) v_i
         for (i, j), a in self.brk.items():
             for k, b in other.vec.items():
-                c = a * b
-                out_s = out_s - c * ring.w(i, j, k)
-                _acc(out_v, j, c * ring.m(i, k))
-                _acc(out_v, i, -(c * ring.m(j, k)))
+                c = poly_mul(a._t, b._t, guard)
+                poly_addmul(out_s, c, w(i, j, k)._t, guard, -1)
+                poly_addmul(out_v.setdefault(j, {}), c, m(i, k)._t, guard)
+                poly_addmul(out_v.setdefault(i, {}), c, m(j, k)._t, guard, -1)
 
         # v_k * b_ij = -w(i,j,k) - m(i,k) v_j + m(j,k) v_i
         for k, a in self.vec.items():
             for (i, j), b in other.brk.items():
-                c = a * b
-                out_s = out_s - c * ring.w(i, j, k)
-                _acc(out_v, j, -(c * ring.m(i, k)))
-                _acc(out_v, i, c * ring.m(j, k))
+                c = poly_mul(a._t, b._t, guard)
+                poly_addmul(out_s, c, w(i, j, k)._t, guard, -1)
+                poly_addmul(out_v.setdefault(j, {}), c, m(i, k)._t, guard, -1)
+                poly_addmul(out_v.setdefault(i, {}), c, m(j, k)._t, guard)
 
         # b_ij * b_kl = m(i,l)m(j,k) - m(i,k)m(j,l) - w(i,j,k) v_l + w(i,j,l) v_k
         for (i, j), a in self.brk.items():
             for (k, l), b in other.brk.items():
-                c = a * b
-                out_s = out_s + c * (
-                    ring.m(i, l) * ring.m(j, k) - ring.m(i, k) * ring.m(j, l)
-                )
-                _acc(out_v, l, -(c * ring.w(i, j, k)))
-                _acc(out_v, k, c * ring.w(i, j, l))
+                c = poly_mul(a._t, b._t, guard)
+                g = m(i, l) * m(j, k) - m(i, k) * m(j, l)
+                poly_addmul(out_s, c, g._t, guard)
+                poly_addmul(out_v.setdefault(l, {}), c, w(i, j, k)._t, guard, -1)
+                poly_addmul(out_v.setdefault(k, {}), c, w(i, j, l)._t, guard)
 
-        return AElem(ring, out_s, out_v, out_b)
+        return AElem(ring, Poly._raw(out_s), _polys(out_v), _polys(out_b))
 
     __rmul__ = scale
 
@@ -327,22 +353,23 @@ def dot(a: AElem, b: AElem) -> Poly:
     _require_lambda(b, "dot")
     a._check(b)
     ring = a.ring
-    out = Poly.zero()
+    m, w = ring.m, ring.w
+    guard = REGISTRY.guard
+    out = {}
     for i, p in a.vec.items():
         for j, q in b.vec.items():
-            out = out + p * q * ring.m(i, j)
+            poly_addmul(out, poly_mul(p._t, q._t, guard), m(i, j)._t, guard)
     for i, p in a.vec.items():
         for (j, k), q in b.brk.items():
-            out = out + p * q * ring.w(j, k, i)
+            poly_addmul(out, poly_mul(p._t, q._t, guard), w(j, k, i)._t, guard)
     for (j, k), p in a.brk.items():
         for i, q in b.vec.items():
-            out = out + p * q * ring.w(j, k, i)
+            poly_addmul(out, poly_mul(p._t, q._t, guard), w(j, k, i)._t, guard)
     for (i, j), p in a.brk.items():
         for (k, l), q in b.brk.items():
-            out = out + p * q * (
-                ring.m(i, k) * ring.m(j, l) - ring.m(i, l) * ring.m(j, k)
-            )
-    return ring.nf(out)
+            g = m(i, k) * m(j, l) - m(i, l) * m(j, k)
+            poly_addmul(out, poly_mul(p._t, q._t, guard), g._t, guard)
+    return ring.nf(Poly._raw(out))
 
 
 def module_basis(ring: KFRing) -> tuple:
@@ -375,20 +402,22 @@ def bar_product(x: AElem, y: AElem) -> Poly:
     x._check(y)
     ring = x.ring
     m, w = ring.m, ring.w
-    out = x.scalar * y.scalar
+    guard = REGISTRY.guard
+    out = poly_mul(x.scalar._t, y.scalar._t, guard)
     for i, a in x.vec.items():
         for j, b in y.vec.items():
-            out = out - a * b * m(i, j)
+            poly_addmul(out, poly_mul(a._t, b._t, guard), m(i, j)._t, guard, -1)
     for (i, j), a in x.brk.items():
         for k, b in y.vec.items():
-            out = out - a * b * w(i, j, k)
+            poly_addmul(out, poly_mul(a._t, b._t, guard), w(i, j, k)._t, guard, -1)
     for k, a in x.vec.items():
         for (i, j), b in y.brk.items():
-            out = out - a * b * w(i, j, k)
+            poly_addmul(out, poly_mul(a._t, b._t, guard), w(i, j, k)._t, guard, -1)
     for (i, j), a in x.brk.items():
         for (k, l), b in y.brk.items():
-            out = out + a * b * (m(i, l) * m(j, k) - m(i, k) * m(j, l))
-    return ring.nf(out)
+            g = m(i, l) * m(j, k) - m(i, k) * m(j, l)
+            poly_addmul(out, poly_mul(a._t, b._t, guard), g._t, guard)
+    return ring.nf(Poly._raw(out))
 
 
 def bracket(a: AElem, b: AElem) -> AElem:
@@ -397,33 +426,35 @@ def bracket(a: AElem, b: AElem) -> AElem:
     _require_lambda(b, "bracket")
     a._check(b)
     ring = a.ring
+    m = ring.m
+    guard = REGISTRY.guard
     out_v = {}
     out_b = {}
 
     for i, p in a.vec.items():
         for j, q in b.vec.items():
-            _acc_b(out_b, i, j, p * q)
+            _addmul_b(out_b, i, j, p._t, q._t, guard)
     # [v_i, b_jk] = m(i,k) v_j - m(i,j) v_k
     for i, p in a.vec.items():
         for (j, k), q in b.brk.items():
-            c = p * q
-            _acc(out_v, j, c * ring.m(i, k))
-            _acc(out_v, k, -(c * ring.m(i, j)))
+            c = poly_mul(p._t, q._t, guard)
+            poly_addmul(out_v.setdefault(j, {}), c, m(i, k)._t, guard)
+            poly_addmul(out_v.setdefault(k, {}), c, m(i, j)._t, guard, -1)
     # [b_ij, v_k] = m(i,k) v_j - m(j,k) v_i
     for (i, j), p in a.brk.items():
         for k, q in b.vec.items():
-            c = p * q
-            _acc(out_v, j, c * ring.m(i, k))
-            _acc(out_v, i, -(c * ring.m(j, k)))
+            c = poly_mul(p._t, q._t, guard)
+            poly_addmul(out_v.setdefault(j, {}), c, m(i, k)._t, guard)
+            poly_addmul(out_v.setdefault(i, {}), c, m(j, k)._t, guard, -1)
     # [b_ij, b_kl] = m(i,k) b_jl + m(j,l) b_ik - m(i,l) b_jk - m(j,k) b_il
     for (i, j), p in a.brk.items():
         for (k, l), q in b.brk.items():
-            c = p * q
-            _acc_b(out_b, j, l, c * ring.m(i, k))
-            _acc_b(out_b, i, k, c * ring.m(j, l))
-            _acc_b(out_b, j, k, -(c * ring.m(i, l)))
-            _acc_b(out_b, i, l, -(c * ring.m(j, k)))
-    return AElem(ring, None, out_v, out_b)
+            c = poly_mul(p._t, q._t, guard)
+            _addmul_b(out_b, j, l, c, m(i, k)._t, guard)
+            _addmul_b(out_b, i, k, c, m(j, l)._t, guard)
+            _addmul_b(out_b, j, k, c, m(i, l)._t, guard, -1)
+            _addmul_b(out_b, i, l, c, m(j, k)._t, guard, -1)
+    return AElem(ring, None, _polys(out_v), _polys(out_b))
 
 
 def triple(a: AElem, b: AElem, c: AElem) -> Poly:
@@ -446,8 +477,10 @@ def _syllable(ring: KFRing, k: int, e: int) -> AElem:
     It is canonical as it stands: a and b are nonzero polynomials in lam_k
     alone, so they hold no w symbol to rewrite, and no lead of the ring's
     basis is a power of one lam, so they are normal forms
-    (``tests/test_agmod.py`` checks this up to rank 4).  Its two callers
-    canonicalize their own results in any case.
+    (``tests/test_agmod.py`` checks this up to rank 4).  Its callers:
+    ``embed_word`` returns the first syllable's element as it is built
+    and multiplies by each further one through ``AElem.__mul__``, and
+    ``embed_bar`` takes the last syllable through ``bar_product``.
     """
     lam = ring.lam(k)
     mkk = ring.m(k, k)
@@ -464,11 +497,15 @@ def embed_word(ring: KFRing, w: Word) -> AElem:
     lam_k^2 - 1, (lam_k + v_k)^|e| = a + b*v_k with a = T_|e|(lam_k) and
     b = U_|e|-1(lam_k): a_1 = lam_k, b_1 = 1, and each further letter
     steps a <- a*lam_k - b*m(k,k), b <- a + b*lam_k.  A negative e flips
-    the sign of b.  The running product takes each syllable in one
-    ``AElem.__mul__``.
+    the sign of b.  The first syllable's element is used as built, being
+    canonical (see ``_syllable``); the running product takes each further
+    syllable in one ``AElem.__mul__``.
     """
-    out = AElem.one(ring)
-    for k, e in w.syllables:
+    if not w.syllables:
+        return AElem.one(ring)
+    first, *rest = w.syllables
+    out = _syllable(ring, *first)
+    for k, e in rest:
         out = out * _syllable(ring, k, e)
     return out
 

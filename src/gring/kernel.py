@@ -35,6 +35,12 @@ run, and for a normal form only when a lead divides one of the input's
 terms (an input already in normal form is never converted).
 Coefficients in the reduction loops are normalized ``(num, den)`` pairs.
 
+``poly_add``, ``poly_mul`` and ``poly_scale`` are ``Poly``'s arithmetic on
+coefficient dicts.  ``poly_addmul`` adds a product into a dict in place,
+so a sum of products fills one dict instead of copying the sum once per
+term: ``agmod``'s product table and canonicalization, ``Poly.substitute``
+and ``Poly.__sub__`` accumulate through it, the last two against ``UNIT``.
+
 No function here calls ``reduce_nd``, so a run-time tracer that wraps that
 name sees only the calls from outside.
 """
@@ -52,6 +58,9 @@ EXP_BITS = 16
 EXP_MASK = (1 << EXP_BITS) - 1
 EXP_MAX = (1 << (EXP_BITS - 1)) - 1
 _OVERFLOW = f"an exponent exceeds {EXP_MAX}"
+#: The coefficient dict of the constant 1, never written:
+#: ``poly_addmul(acc, p, UNIT, guard, sign)`` adds ``sign * p`` to ``acc``.
+UNIT = {0: 1}
 #: Reduction steps, or terms of a cofactor update, between two reads of
 #: the clock in ``reduce_nd``.
 CLOCK_STEPS = 64
@@ -262,6 +271,36 @@ def poly_mul(p, q, guard):
                 else:
                     del out[nm]
     return out
+
+
+def poly_addmul(acc, p, q, guard, sign=1):
+    """``acc += sign * p * q`` in place on ``Poly`` coefficient dicts, with
+    ``sign`` 1 or -1; ``guard`` is as for ``poly_mul``.
+
+    A key whose coefficient cancels to 0 is dropped.  Raises
+    ExponentOverflow past ``EXP_MAX``; ``acc`` is not usable after that.
+    ``acc`` must not be ``p`` or ``q``.  With ``q`` the constant 1 this is
+    an in-place sum or difference.
+    """
+    if len(p) > len(q):
+        p, q = q, p
+    for m1, c1 in p.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in q.items():
+            nm = m1 + m2
+            prev = acc.get(nm)
+            if prev is None:
+                # as in poly_mul: an overflowed product is never present
+                if nm & guard:
+                    raise ExponentOverflow(_OVERFLOW)
+                acc[nm] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    acc[nm] = s
+                else:
+                    del acc[nm]
 
 
 def poly_scale(p, c):

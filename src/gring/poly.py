@@ -226,7 +226,9 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(other)
-        return self + (-other)
+        out = dict(self._t)
+        kernel.poly_addmul(out, other._t, kernel.UNIT, REGISTRY.guard, -1)
+        return Poly._raw(out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -283,15 +285,19 @@ class Poly:
         powers = {}  # (field offset, exponent) -> terms of that power
         out = {}
         for m, c in self._t.items():
-            term = {m & ~assigned: c}
+            # the term times all its powers but the last, which goes
+            # straight into ``out``
+            term, last = {m & ~assigned: c}, kernel.UNIT
             for s, p in amap.items():
                 e = m >> s & EXP_MASK
                 if e:
                     pe = powers.get((s, e))
                     if pe is None:
                         pe = powers[(s, e)] = (p ** e)._t
-                    term = kernel.poly_mul(term, pe, guard)
-            out = kernel.poly_add(out, term)
+                    if last is not kernel.UNIT:
+                        term = kernel.poly_mul(term, last, guard)
+                    last = pe
+            kernel.poly_addmul(out, term, last, guard)
         return Poly._raw(out)
 
     # -- rendering -----------------------------------------------------

@@ -9,6 +9,7 @@ from gring.errors import (
     ForeignVariable,
     GringError,
 )
+from gring import kernel
 from gring.kernel import EXP_MAX, FieldOverflow
 from gring.poly import (
     NEG_INF,
@@ -309,6 +310,43 @@ def test_poly_ops_match_tuple_ops(tp, tq, i, k, e):
         slots, width = order_slots(PROP_ORDER)
         lead = max(tp, key=lambda m: mono_key(m, slots, width))
         assert PROP_ORDER.leading(p) == (lead, tp[lead])
+
+
+def typed(p):
+    """The coefficient dict of ``p`` with each coefficient's type beside it."""
+    return {m: (c, type(c)) for m, c in p._t.items()}
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(tuple_polys, tuple_polys, tuple_polys, st.sampled_from((1, -1)))
+def test_poly_addmul_matches_add_of_product(ta, tp, tq, sign):
+    # int and Fraction coefficients: Poly stores integral values as ints
+    a, p, q = Poly(ta), Poly(tp), Poly(tq)
+    pq = kernel.poly_mul(p._t, q._t, REGISTRY.guard)
+    want = kernel.poly_add(a._t, pq if sign > 0 else (-Poly._raw(pq))._t)
+    # an accumulator that cancels the product in part, and one that
+    # cancels it whole
+    half = {m: -sign * c for i, (m, c) in enumerate(pq.items()) if i % 2}
+    for acc, expect in (
+        (dict(a._t), want),
+        (kernel.poly_add(a._t, half), kernel.poly_add(want, half)),
+        ((-Poly._raw(pq) if sign > 0 else Poly._raw(pq))._t, {}),
+    ):
+        inputs = (dict(p._t), dict(q._t))
+        kernel.poly_addmul(acc, p._t, q._t, REGISTRY.guard, sign)
+        assert acc == expect
+        assert all(acc.values())  # no zero coefficient, no cancelled key
+        assert (p._t, q._t) == inputs
+    # subtraction is one accumulation against the constant 1
+    assert typed(p - q) == typed(p + (-q))
+
+
+def test_poly_addmul_raises_past_the_exponent_limit():
+    top = x**EXP_MAX
+    for acc in ({}, dict((x + 1)._t)):
+        with pytest.raises(ExponentOverflow):
+            kernel.poly_addmul(acc, top._t, (y + x)._t, REGISTRY.guard)
 
 
 def term_by_term_substitute(p, amap):
